@@ -83,10 +83,12 @@ bench-smoke:
 
 # End-to-end checkpoint/resume acceptance check: pause a Strassen k=4
 # verification after 3 of 8 shards, resume it at a different worker
-# count, and require the final stats line to be byte-identical to an
-# uninterrupted run. Exit code 3 is the verifier's "paused, rerun with
-# -resume" signal. Single shell + trap so the scratch dir is removed
-# even when a step fails.
+# count, and require the final stats line and the per-rank hit
+# histogram table (built from the checkpoint's merged hit vector) to be
+# byte-identical to an uninterrupted run; the paused run must print no
+# table. Exit code 3 is the verifier's "paused, rerun with -resume"
+# signal. Single shell + trap so the scratch dir is removed even when a
+# step fails.
 verify-resume:
 	@set -e; trap 'rm -rf $(RESUME_DIR)' EXIT; \
 	rm -rf $(RESUME_DIR); mkdir -p $(RESUME_DIR); \
@@ -102,8 +104,13 @@ verify-resume:
 	grep '^stats:' $(RESUME_DIR)/resumed.out > $(RESUME_DIR)/resumed.stats; \
 	grep '^stats:' $(RESUME_DIR)/fresh.out > $(RESUME_DIR)/fresh.stats; \
 	cmp $(RESUME_DIR)/resumed.stats $(RESUME_DIR)/fresh.stats; \
+	if grep -Eq '^(rank|[0-9]+) ' $(RESUME_DIR)/paused.out; then echo "paused run printed a histogram"; exit 1; fi; \
+	grep -E '^(rank|[0-9]+) ' $(RESUME_DIR)/resumed.out > $(RESUME_DIR)/resumed.hist; \
+	grep -E '^(rank|[0-9]+) ' $(RESUME_DIR)/fresh.out > $(RESUME_DIR)/fresh.hist; \
+	[ -s $(RESUME_DIR)/fresh.hist ] || { echo "uninterrupted run printed no histogram"; exit 1; }; \
+	cmp $(RESUME_DIR)/resumed.hist $(RESUME_DIR)/fresh.hist; \
 	$(RESUME_DIR)/routecheck -summarize $(RESUME_DIR)/runs.jsonl; \
-	echo "verify-resume: PASS — resumed stats byte-identical to an uninterrupted run"
+	echo "verify-resume: PASS — resumed stats and hit histogram byte-identical to an uninterrupted run"
 
 # Observability acceptance check: run a real verification with the
 # debug server on an ephemeral port, scrape /metrics and /healthz, and

@@ -168,11 +168,14 @@ func main() {
 	// Daemon-lifecycle record: process start, no trace (per-job
 	// run_start records carry the traces).
 	_ = jw.Emit(runlog.Record{Event: runlog.EventRunStart, Tool: "routed"})
+	// Install the handler before announcing readiness: a supervisor may
+	// send SIGTERM the moment it sees the listening line, and the
+	// default action would skip the drain and the final checkpoint flush.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	s.Start()
 	fmt.Fprintf(os.Stderr, "routed listening on %s\n", srv.URL())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	got := <-sig
 	fmt.Fprintf(os.Stderr, "routed: %s: draining (deadline %s)\n", got, *drainTimeout)
 

@@ -5,7 +5,8 @@ package routing
 // this draws algorithms from the symmetry orbit of Strassen's (fresh
 // coefficient structure and copying patterns every seed) and asserts
 // that full enumeration, the stage-1 orbit kernel, and the stage-2
-// orbit kernel produce bit-identical Stats across depths, worker
+// orbit kernel produce bit-identical Stats — and per-vertex hit
+// vectors equal to a ForEachPairPath count — across depths, worker
 // counts, and adjacency sample strides. Under plain `go test` only the
 // seed corpus runs; `go test -fuzz=FuzzOrbitStatsEquivalence` explores
 // further.
@@ -41,14 +42,18 @@ func FuzzOrbitStatsEquivalence(f *testing.F) {
 			t.Fatalf("matching: %v", err)
 		}
 		r.AdjacencySampleStride = stride
-		want, err := r.VerifyFullRouting()
+		wantHits := enumeratedHits(r)
+		want, hits, err := r.VerifyFullRoutingHits(1)
 		if err != nil {
 			t.Fatalf("full: %v", err)
+		}
+		if err := diffHits(hits, wantHits); err != nil {
+			t.Fatalf("full hits (k=%d stride=%d): %v", k, stride, err)
 		}
 		want.Elapsed = 0
 		for _, stage := range orbitStages() {
 			ro := orbitRouter(t, r, stage.stage1)
-			got, err := ro.VerifyFullRouting()
+			got, hits, err := ro.VerifyFullRoutingHits(1)
 			if err != nil {
 				t.Fatalf("%s seq: %v", stage.name, err)
 			}
@@ -56,13 +61,19 @@ func FuzzOrbitStatsEquivalence(f *testing.F) {
 			if got != want {
 				t.Fatalf("%s sequential (k=%d stride=%d):\norbit %+v\nfull  %+v", stage.name, k, stride, got, want)
 			}
-			par, err := ro.VerifyFullRoutingParallel(workers)
+			if err := diffHits(hits, wantHits); err != nil {
+				t.Fatalf("%s sequential hits (k=%d stride=%d): %v", stage.name, k, stride, err)
+			}
+			par, hits, err := ro.VerifyFullRoutingHits(workers)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", stage.name, workers, err)
 			}
 			par.Elapsed = 0
 			if par != want {
 				t.Fatalf("%s workers=%d (k=%d stride=%d):\norbit %+v\nfull  %+v", stage.name, workers, k, stride, par, want)
+			}
+			if err := diffHits(hits, wantHits); err != nil {
+				t.Fatalf("%s workers=%d hits (k=%d stride=%d): %v", stage.name, workers, k, stride, err)
 			}
 		}
 	})

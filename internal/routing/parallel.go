@@ -61,6 +61,18 @@ const (
 // It verifies the same properties and returns the same statistics and,
 // for corrupted routings, the same error.
 func (r *Router) VerifyFullRoutingParallel(workers int) (Stats, error) {
+	st, _, err := r.VerifyFullRoutingHits(workers)
+	return st, err
+}
+
+// VerifyFullRoutingHits is VerifyFullRoutingParallel that also returns
+// the merged per-vertex hit vector, indexed by vertex ID: entry v is
+// the number of pair paths through v. Every kernel produces it exactly
+// (the orbit kernels credit shared chains by weight, but the total
+// credited to a vertex is its path count), so callers can derive
+// per-vertex load tables without re-enumerating the routing. The
+// vector is nil whenever the error is non-nil.
+func (r *Router) VerifyFullRoutingHits(workers int) (Stats, []int64, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -300,8 +312,8 @@ func (r *Router) scanRange(w, workers int, rowLo, rowHi int64, earliestErr *atom
 }
 
 // verifyFullRouting is the engine behind VerifyFullRouting (workers=1)
-// and VerifyFullRoutingParallel.
-func (r *Router) verifyFullRouting(workers int) (Stats, error) {
+// and VerifyFullRoutingHits.
+func (r *Router) verifyFullRouting(workers int) (Stats, []int64, error) {
 	start := time.Now()
 	r.Obs.noteStart(start)
 	rows := r.numRows()
@@ -344,8 +356,9 @@ func (r *Router) verifyFullRouting(workers int) (Stats, error) {
 }
 
 // finalizeFullRouting merges the worker accumulators, selects the
-// deterministic first error, and checks the 6aᵏ bounds.
-func (r *Router) finalizeFullRouting(start time.Time, outs []workerState) (Stats, error) {
+// deterministic first error, and checks the 6aᵏ bounds. The merged
+// per-vertex hit vector is returned only when every check passes.
+func (r *Router) finalizeFullRouting(start time.Time, outs []workerState) (Stats, []int64, error) {
 	st := Stats{Bound: 6 * r.powA[r.k]}
 	var firstErr error
 	firstPos := int64(math.MaxInt64)
@@ -362,7 +375,7 @@ func (r *Router) finalizeFullRouting(start time.Time, outs []workerState) (Stats
 	}
 	if firstErr != nil {
 		st.Elapsed = time.Since(start)
-		return st, firstErr
+		return st, nil, firstErr
 	}
 	span := r.Obs.startSpan("merge")
 	defer span.End()
@@ -375,7 +388,10 @@ func (r *Router) finalizeFullRouting(start time.Time, outs []workerState) (Stats
 	st.MaxVertexHits = hits.max()
 	st.MaxMetaHits = metaHits.max()
 	st.Elapsed = time.Since(start)
-	return st, r.checkFullRoutingBounds(st)
+	if err := r.checkFullRoutingBounds(st); err != nil {
+		return st, nil, err
+	}
+	return st, hits, nil
 }
 
 // checkFullRoutingBounds verifies the Routing Theorem's 6aᵏ bounds on

@@ -793,9 +793,6 @@ func (s *Server) runJob(j *Job) {
 		finalRec.Resources = cur.runlog()
 		doc := statsOf(st)
 		cert := certificate(st)
-		j.mu.Lock()
-		j.state, j.stats, j.cert = StateDone, &doc, cert
-		j.mu.Unlock()
 		finalRec.Paths = st.NumPaths
 		finalRec.TotalHits = st.TotalHits
 		finalRec.MaxVertexHits = st.MaxVertexHits
@@ -806,12 +803,18 @@ func (s *Server) runJob(j *Job) {
 			finalRec.PathsPerSec = float64(st.NumPaths) / elapsed.Seconds()
 		}
 		s.journalEmit(finalRec)
-		// Fill the cache before releasing the single-flight slot, so a
-		// submission racing the handoff finds one of the two.
+		// Fill the cache, release the single-flight slot, and only then
+		// mark the job done: a submission racing the handoff finds the
+		// job in flight or the certificate in the cache, and a client
+		// that has seen the job done resubmits straight into the cache.
 		if err := s.cache.put(&cacheEntry{Key: j.key, Spec: j.spec, Stats: doc, Certificate: cert}); err != nil {
 			// The certificate stands; only reuse is lost.
 			fmt.Fprintf(os.Stderr, "serve: cache spill: %v\n", err)
 		}
+		s.releaseInflight(j)
+		j.mu.Lock()
+		j.state, j.stats, j.cert = StateDone, &doc, cert
+		j.mu.Unlock()
 		s.finishJob(j)
 		s.met.completed.Inc()
 		j.events.publish(eventFinal, j.Snapshot())
@@ -850,13 +853,18 @@ func (s *Server) runJob(j *Job) {
 	}
 }
 
-// finishJob persists a terminal job and releases its single-flight slot.
-func (s *Server) finishJob(j *Job) {
+// releaseInflight frees j's single-flight slot, if j still holds it.
+func (s *Server) releaseInflight(j *Job) {
 	s.mu.Lock()
 	if s.inflight[j.key] == j {
 		delete(s.inflight, j.key)
 	}
 	s.mu.Unlock()
+}
+
+// finishJob persists a terminal job and releases its single-flight slot.
+func (s *Server) finishJob(j *Job) {
+	s.releaseInflight(j)
 	s.persistJob(j)
 	if s.opts.OnJobDone != nil {
 		s.opts.OnJobDone(j)
