@@ -5,7 +5,7 @@ RESUME_DIR ?= .verify-resume
 OBS_DIR ?= .obs-smoke
 ROUTED_DIR ?= .routed-smoke
 
-.PHONY: verify build test vet vet386 race bench-routing bench bench-diff bench-smoke verify-resume obs-smoke routed-smoke
+.PHONY: verify build test vet vet386 race bench-routing bench bench-diff bench-smoke fuzz-smoke verify-resume obs-smoke routed-smoke
 
 # Routing benchmarks: the adjacency-index and parallel-verification
 # suites plus the A9 enumeration-kernel ablation, the A10 orbit
@@ -80,6 +80,16 @@ bench-diff:
 # without paying for a full measured run.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkA7ParallelVerification' -benchtime 1x -benchmem .
+
+# Fuzz smoke: every fuzz target in the module for 10 s each, past its
+# seed corpus (plain `go test` runs only the seeds). `go test -fuzz`
+# takes one package and one target per run.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadCheckpoint$$' -fuzztime 10s ./internal/routing
+	$(GO) test -run '^$$' -fuzz '^FuzzOrbitStatsEquivalence$$' -fuzztime 10s ./internal/routing
+	$(GO) test -run '^$$' -fuzz '^FuzzNzKeyInjectivity$$' -fuzztime 10s ./internal/cdag
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRoundTrip$$' -fuzztime 10s ./internal/rat
+	$(GO) test -run '^$$' -fuzz '^FuzzArithmeticConsistency$$' -fuzztime 10s ./internal/rat
 
 # End-to-end checkpoint/resume acceptance check: pause a Strassen k=4
 # verification after 3 of 8 shards, resume it at a different worker

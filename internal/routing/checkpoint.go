@@ -14,9 +14,27 @@ package routing
 // int64 sum (or a max over exact sums), an interrupted-and-resumed run
 // produces final Stats bit-identical to an uninterrupted one, at any
 // worker count.
+//
+// The file (format version 2) is, in order:
+//
+//	magic "PRCKPT\r\n", version as a little-endian uint32
+//	AlgorithmHash(alg) as 32 raw bytes
+//	len(Alg) as a uvarint, then the name's bytes
+//	K, NumVertices, ShardRows, NumShards, AdjStride, NumPaths,
+//	    TotalHits, AdjChecked, each a little-endian int64
+//	the done bitmap, ⌈NumShards/8⌉ bytes, shard s at bit s%8 of byte s/8
+//	Hits, then MetaHits, NumVertices uvarints each
+//	SHA-256 of every byte above
+//
+// The certificate is "no counter exceeds 6aᵏ", so a flipped bit that
+// lowers one counter would certify a violated bound: LoadCheckpoint
+// checks the checksum before it reads any field, and resume re-checks
+// the tallies against each other before it trusts them.
 
 import (
-	"encoding/gob"
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -28,13 +46,28 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"pathrouting/internal/cdag"
 )
 
-// CheckpointVersion is the schema version written into checkpoint
-// files; files with a different version are rejected on load.
-const CheckpointVersion = 1
+// CheckpointVersion is the format version written into checkpoint
+// files; LoadCheckpoint rejects every other version.
+const CheckpointVersion = 2
+
+// ckptMagic opens every checkpoint file. ckptMinLen is the size of a
+// file with an empty name, no vertices and no shards: magic, version,
+// algorithm hash, a one-byte name length, eight int64 fields, trailer.
+const (
+	ckptMagic  = "PRCKPT\r\n"
+	ckptMinLen = len(ckptMagic) + 4 + sha256.Size + 1 + 8*8 + sha256.Size
+)
+
+// ErrCheckpointInvalid is wrapped by every LoadCheckpoint error except
+// a missing file, and by resume's tally checks: the file is not a
+// checkpoint this build can trust — bad magic, a version-1 (gob) file,
+// truncation, a checksum mismatch, impossible sizes, or tallies that
+// contradict each other. Such a file never resumes; a caller that can
+// afford to start over (the verification service does) moves it aside
+// and reruns.
+var ErrCheckpointInvalid = errors.New("routing: checkpoint invalid")
 
 // defaultShardPaths sizes shards when CheckpointConfig.ShardRows is 0:
 // roughly this many pair paths per shard, so checkpoint granularity
@@ -77,7 +110,7 @@ type CheckpointConfig struct {
 	// completed shards. A missing file starts a fresh run, so retry
 	// loops can pass Resume unconditionally; an incompatible file
 	// (different algorithm, k, shard size, or adjacency stride) is an
-	// error.
+	// error, and so is one that is corrupt (ErrCheckpointInvalid).
 	Resume bool
 	// OnShard, when non-nil, is called after each shard completes and
 	// merges (serialized by the engine's lock; keep it fast).
@@ -108,7 +141,6 @@ type ShardDone struct {
 // verification run: which shards are complete and the exact merged
 // contribution of every completed shard.
 type Checkpoint struct {
-	Version     int
 	Alg         string
 	K           int
 	NumVertices int
@@ -117,13 +149,18 @@ type Checkpoint struct {
 	AdjStride   int64
 
 	Done      []bool
-	DoneCount int64
+	DoneCount int64 // number of true entries in Done
 
 	NumPaths   int64
 	TotalHits  int64
 	AdjChecked int64
-	Hits       []int64
-	MetaHits   map[cdag.V]int64
+	// Hits and MetaHits are dense per-vertex counters indexed by vertex
+	// ID; MetaHits is nonzero only at meta-vertex roots.
+	Hits     []int64
+	MetaHits []int64
+
+	algHash [sha256.Size]byte // algorithmDigest of the verified algorithm
+	buf     []byte            // file image, reused across saves
 }
 
 // shardPlan is the deterministic shard geometry for one router.
@@ -149,7 +186,6 @@ func (r *Router) shardPlan(shardRows int64) shardPlan {
 // newCheckpoint returns the empty accumulated state for a plan.
 func (r *Router) newCheckpoint(plan shardPlan) *Checkpoint {
 	return &Checkpoint{
-		Version:     CheckpointVersion,
 		Alg:         r.G.Alg.Name,
 		K:           r.k,
 		NumVertices: r.G.NumVertices(),
@@ -158,20 +194,24 @@ func (r *Router) newCheckpoint(plan shardPlan) *Checkpoint {
 		AdjStride:   r.adjStride(),
 		Done:        make([]bool, plan.numShards),
 		Hits:        make([]int64, r.G.NumVertices()),
-		MetaHits:    make(map[cdag.V]int64),
+		MetaHits:    make([]int64, r.G.NumVertices()),
+		algHash:     algorithmDigest(r.G.Alg),
 	}
 }
 
 // checkpointCompat rejects resuming a checkpoint whose run parameters
-// differ from this router's: merged contributions would be silently
-// wrong rather than loudly incompatible.
+// differ from this router's — merged contributions would be silently
+// wrong rather than loudly incompatible — or whose tallies contradict
+// each other. The checkpoint's shape (vector lengths) was checked when
+// it was decoded.
 func (r *Router) checkpointCompat(c *Checkpoint, plan shardPlan) error {
 	switch {
-	case c.Version != CheckpointVersion:
-		return fmt.Errorf("routing: checkpoint version %d, want %d", c.Version, CheckpointVersion)
 	case c.Alg != r.G.Alg.Name || c.K != r.k:
 		return fmt.Errorf("routing: checkpoint is for %s G_%d, router verifies %s G_%d",
 			c.Alg, c.K, r.G.Alg.Name, r.k)
+	case c.algHash != algorithmDigest(r.G.Alg):
+		return fmt.Errorf("routing: checkpoint is for %s with other coefficients (algorithm hash %x, router's %s)",
+			c.Alg, c.algHash, AlgorithmHash(r.G.Alg))
 	case c.NumVertices != r.G.NumVertices():
 		return fmt.Errorf("routing: checkpoint has %d vertices, graph has %d", c.NumVertices, r.G.NumVertices())
 	case c.ShardRows != plan.shardRows || c.NumShards != plan.numShards:
@@ -179,20 +219,56 @@ func (r *Router) checkpointCompat(c *Checkpoint, plan shardPlan) error {
 			c.NumShards, c.ShardRows, plan.numShards, plan.shardRows)
 	case c.AdjStride != r.adjStride():
 		return fmt.Errorf("routing: checkpoint adjacency stride %d, router uses %d", c.AdjStride, r.adjStride())
-	case int64(len(c.Done)) != c.NumShards || len(c.Hits) != c.NumVertices:
-		return fmt.Errorf("routing: checkpoint internally inconsistent (%d done flags, %d hit counters)",
-			len(c.Done), len(c.Hits))
+	}
+	return c.checkTallies(r, plan)
+}
+
+// checkTallies catches what a checksum cannot: a writer that merged
+// wrongly, or a file rewritten with a fresh checksum. Every pair path
+// of G_k has 6k+4 vertices, so the done rows fix NumPaths, NumPaths
+// fixes TotalHits, and the per-vertex Hits must add up to TotalHits.
+func (c *Checkpoint) checkTallies(r *Router, plan shardPlan) error {
+	rows := c.doneRows(plan)
+	pathLen := int64(6*r.k + 4)
+	switch {
+	case c.NumPaths != rows*r.powA[r.k]:
+		return fmt.Errorf("%w: %d paths recorded, but %d done rows hold %d",
+			ErrCheckpointInvalid, c.NumPaths, rows, rows*r.powA[r.k])
+	case c.TotalHits != c.NumPaths*pathLen:
+		return fmt.Errorf("%w: %d total hits recorded, but %d paths of %d vertices make %d",
+			ErrCheckpointInvalid, c.TotalHits, c.NumPaths, pathLen, c.NumPaths*pathLen)
+	}
+	var sum int64
+	for _, h := range c.Hits {
+		if h > c.TotalHits-sum { // sum ≤ TotalHits, so this cannot wrap
+			return fmt.Errorf("%w: per-vertex hits add up to more than the %d total hits",
+				ErrCheckpointInvalid, c.TotalHits)
+		}
+		sum += h
+	}
+	if sum != c.TotalHits {
+		return fmt.Errorf("%w: per-vertex hits add up to %d, total hits recorded %d",
+			ErrCheckpointInvalid, sum, c.TotalHits)
 	}
 	return nil
+}
+
+// doneRows is the number of enumeration rows the done shards cover.
+func (c *Checkpoint) doneRows(plan shardPlan) int64 {
+	var rows int64
+	for s, done := range c.Done {
+		if done {
+			lo := int64(s) * plan.shardRows
+			rows += min(lo+plan.shardRows, plan.rows) - lo
+		}
+	}
+	return rows
 }
 
 // mergeShard folds one completed shard's accumulator into the
 // checkpoint. Every field is an exact int64 sum, so merge order — and
 // therefore worker count and interruption pattern — cannot change the
-// final state. The worker's dense meta-hit vector folds into the
-// checkpoint's sparse map — the persisted form stays a map keyed by
-// meta-vertex root, so files written before the dense accumulator
-// still load (the gob schema is unchanged; no version bump).
+// final state.
 func (c *Checkpoint) mergeShard(shard int64, ws *workerState) {
 	c.Done[shard] = true
 	c.DoneCount++
@@ -200,29 +276,20 @@ func (c *Checkpoint) mergeShard(shard int64, ws *workerState) {
 	c.TotalHits += ws.totalHits
 	c.AdjChecked += ws.adjChecked
 	hitVec(c.Hits).merge(ws.hits)
-	for v, h := range ws.metaHits {
-		if h != 0 {
-			c.MetaHits[cdag.V(v)] += h
-		}
-	}
+	hitVec(c.MetaHits).merge(ws.metaHits)
 }
 
 // stats derives the Stats of the accumulated state.
 func (c *Checkpoint) stats(r *Router, start time.Time) Stats {
-	st := Stats{
+	return Stats{
 		Bound:            6 * r.powA[r.k],
 		NumPaths:         c.NumPaths,
 		TotalHits:        c.TotalHits,
 		AdjacencyChecked: c.AdjChecked,
 		MaxVertexHits:    hitVec(c.Hits).max(),
+		MaxMetaHits:      hitVec(c.MetaHits).max(),
+		Elapsed:          time.Since(start),
 	}
-	for _, h := range c.MetaHits {
-		if h > st.MaxMetaHits {
-			st.MaxMetaHits = h
-		}
-	}
-	st.Elapsed = time.Since(start)
-	return st
 }
 
 // syncDir fsyncs the directory containing path, making a just-renamed
@@ -240,22 +307,22 @@ func syncDir(path string) error {
 	return d.Sync()
 }
 
-// save atomically persists the checkpoint: encode to Path+".tmp", fsync,
-// rename over Path, then fsync the parent directory so the rename
-// itself survives power loss. The durability halves land in separate
-// latency histograms when instrumented: encode+fsync scales with the
-// hit-vector size, rename+dirsync with filesystem metadata latency.
+// save atomically persists the checkpoint: encode into the reused
+// buffer, write it to Path+".tmp" in one call, fsync, rename over Path,
+// then fsync the parent directory so the rename itself survives power
+// loss. When instrumented, the encode+write+fsync half is timed.
 func (c *Checkpoint) save(path string, in *Instruments) error {
-	tmp := path + ".tmp"
 	start := time.Now()
+	c.buf = c.appendTo(c.buf[:0])
+	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("routing: checkpoint: %w", err)
 	}
-	if err := gob.NewEncoder(f).Encode(c); err != nil {
+	if _, err := f.Write(c.buf); err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return fmt.Errorf("routing: checkpoint encode: %w", err)
+		return fmt.Errorf("routing: checkpoint write: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -269,7 +336,6 @@ func (c *Checkpoint) save(path string, in *Instruments) error {
 	if in != nil {
 		in.CheckpointFsync.ObserveSince(start)
 	}
-	renameStart := time.Now()
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return fmt.Errorf("routing: checkpoint rename: %w", err)
@@ -277,27 +343,194 @@ func (c *Checkpoint) save(path string, in *Instruments) error {
 	if err := syncDir(path); err != nil {
 		return fmt.Errorf("routing: checkpoint dir sync: %w", err)
 	}
-	if in != nil {
-		in.CheckpointRename.ObserveSince(renameStart)
-	}
 	return nil
 }
 
+// appendTo appends the checkpoint's file image, SHA-256 trailer
+// included, to b.
+func (c *Checkpoint) appendTo(b []byte) []byte {
+	start := len(b)
+	b = append(b, ckptMagic...)
+	b = binary.LittleEndian.AppendUint32(b, CheckpointVersion)
+	b = append(b, c.algHash[:]...)
+	b = binary.AppendUvarint(b, uint64(len(c.Alg)))
+	b = append(b, c.Alg...)
+	for _, v := range [...]int64{int64(c.K), int64(c.NumVertices), c.ShardRows, c.NumShards,
+		c.AdjStride, c.NumPaths, c.TotalHits, c.AdjChecked} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
+	}
+	for s := 0; s < len(c.Done); s += 8 {
+		var bits byte
+		for i, done := range c.Done[s:min(s+8, len(c.Done))] {
+			if done {
+				bits |= 1 << i
+			}
+		}
+		b = append(b, bits)
+	}
+	for _, h := range c.Hits {
+		b = binary.AppendUvarint(b, uint64(h))
+	}
+	for _, h := range c.MetaHits {
+		b = binary.AppendUvarint(b, uint64(h))
+	}
+	sum := sha256.Sum256(b[start:])
+	return append(b, sum[:]...)
+}
+
 // LoadCheckpoint reads a checkpoint file (for resume and inspection).
+// A missing file returns an error satisfying errors.Is(err,
+// fs.ErrNotExist); every other failure wraps ErrCheckpointInvalid.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.Open(path)
-	if err != nil {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, err
 	}
-	defer f.Close()
-	var c Checkpoint
-	if err := gob.NewDecoder(f).Decode(&c); err != nil {
-		return nil, fmt.Errorf("routing: checkpoint decode %s: %w", path, err)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCheckpointInvalid, err)
 	}
-	if c.Version != CheckpointVersion {
-		return nil, fmt.Errorf("routing: checkpoint %s: version %d, want %d", path, c.Version, CheckpointVersion)
+	c, err := decodeCheckpoint(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return &c, nil
+	return c, nil
+}
+
+// decodeCheckpoint parses a checkpoint file image. It trusts nothing
+// it reads: the length and the checksum are checked before any field,
+// each declared size is checked against the bytes that remain before
+// anything is allocated, counters above MaxInt64 and non-minimal
+// uvarints are rejected, and the body must be consumed exactly — so
+// every accepted image re-encodes to itself.
+func decodeCheckpoint(data []byte) (*Checkpoint, error) {
+	switch {
+	case !bytes.HasPrefix(data, []byte(ckptMagic)):
+		if bytes.Contains(data[:min(len(data), 64)], []byte("Checkpoint")) {
+			// A gob stream opens with the definition of the encoded
+			// struct type, name included.
+			return nil, fmt.Errorf("%w: a version-1 (gob) checkpoint, which this build cannot read; delete it and rerun",
+				ErrCheckpointInvalid)
+		}
+		return nil, fmt.Errorf("%w: not a checkpoint file (bad magic)", ErrCheckpointInvalid)
+	case len(data) < ckptMinLen:
+		return nil, fmt.Errorf("%w: truncated to %d bytes", ErrCheckpointInvalid, len(data))
+	}
+	body := data[:len(data)-sha256.Size]
+	if sha256.Sum256(body) != [sha256.Size]byte(data[len(body):]) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrCheckpointInvalid)
+	}
+	// ckptMinLen guarantees the version, hash and name length are there.
+	d := ckptDecoder{b: body[len(ckptMagic):]}
+	if v := binary.LittleEndian.Uint32(d.next(4)); v != CheckpointVersion {
+		return nil, fmt.Errorf("%w: version %d, want %d", ErrCheckpointInvalid, v, CheckpointVersion)
+	}
+	c := &Checkpoint{}
+	copy(c.algHash[:], d.next(sha256.Size))
+	c.Alg = string(d.next(d.uvarint()))
+	k, numVertices := d.count(), d.count()
+	c.ShardRows, c.NumShards, c.AdjStride = d.count(), d.count(), d.count()
+	c.NumPaths, c.TotalHits, c.AdjChecked = d.count(), d.count(), d.count()
+	if d.err != nil {
+		return nil, d.err
+	}
+	// Every counter takes at least one byte, so the declared sizes must
+	// fit in what remains. Compared in int64: the conversions to int
+	// below are exact only once these hold, on 32-bit hosts too.
+	bitmapLen := c.NumShards/8 + min(c.NumShards%8, 1)
+	rest := int64(len(d.b))
+	if k > math.MaxInt32 || c.NumShards > math.MaxInt || bitmapLen > rest || numVertices > (rest-bitmapLen)/2 {
+		return nil, fmt.Errorf("%w: k=%d, %d vertices and %d shards declared in %d bytes",
+			ErrCheckpointInvalid, k, numVertices, c.NumShards, rest)
+	}
+	c.K, c.NumVertices = int(k), int(numVertices)
+	bitmap := d.next(bitmapLen)
+	c.Done = make([]bool, c.NumShards)
+	for s := range c.Done {
+		if bitmap[s/8]&(1<<(s%8)) != 0 {
+			c.Done[s] = true
+			c.DoneCount++
+		}
+	}
+	if c.NumShards%8 != 0 && bitmap[len(bitmap)-1]>>(c.NumShards%8) != 0 {
+		return nil, fmt.Errorf("%w: done bitmap has bits past shard %d", ErrCheckpointInvalid, c.NumShards)
+	}
+	c.Hits = make([]int64, c.NumVertices)
+	c.MetaHits = make([]int64, c.NumVertices)
+	for _, v := range [2][]int64{c.Hits, c.MetaHits} {
+		for i := range v {
+			v[i] = d.uvarint()
+		}
+	}
+	switch {
+	case d.err != nil:
+		return nil, d.err
+	case len(d.b) != 0:
+		return nil, fmt.Errorf("%w: %d bytes after the last counter", ErrCheckpointInvalid, len(d.b))
+	}
+	return c, nil
+}
+
+// ckptDecoder reads a checkpoint body front to back. The first failure
+// sticks: later reads return zero values and err keeps the cause.
+type ckptDecoder struct {
+	b   []byte
+	err error
+}
+
+func (d *ckptDecoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %s", ErrCheckpointInvalid, fmt.Sprintf(format, args...))
+	}
+}
+
+// next consumes n bytes, or fails and returns nil when fewer remain.
+func (d *ckptDecoder) next(n int64) []byte {
+	if d.err != nil {
+		return nil
+	}
+	if n > int64(len(d.b)) {
+		d.fail("truncated: %d bytes declared, %d left", n, len(d.b))
+		return nil
+	}
+	p := d.b[:n]
+	d.b = d.b[n:]
+	return p
+}
+
+// count reads a fixed little-endian int64, which must be non-negative:
+// every fixed field is a size, a depth or a tally.
+func (d *ckptDecoder) count() int64 {
+	p := d.next(8)
+	if p == nil {
+		return 0
+	}
+	v := int64(binary.LittleEndian.Uint64(p))
+	if v < 0 {
+		d.fail("negative field %d", v)
+		return 0
+	}
+	return v
+}
+
+// uvarint reads a minimally encoded uvarint no larger than MaxInt64.
+func (d *ckptDecoder) uvarint() int64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b)
+	switch {
+	case n <= 0:
+		d.fail("malformed uvarint")
+		return 0
+	case v > math.MaxInt64:
+		d.fail("counter %d exceeds MaxInt64", v)
+		return 0
+	case n > 1 && d.b[n-1] == 0:
+		d.fail("non-minimal uvarint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return int64(v)
 }
 
 // VerifyFullRoutingCheckpointed is VerifyFullRoutingParallel with
@@ -349,15 +582,9 @@ func (r *Router) VerifyFullRoutingCheckpointed(workers int, cfg CheckpointConfig
 		// run's paths/adjacency gauges and /healthz coverage reach 100%
 		// instead of ending short by the restored fraction — including
 		// the fully-restored case below, which re-runs nothing at all.
-		var restoredRows int64
-		for s := int64(0); s < plan.numShards; s++ {
-			if cp.Done[s] {
-				restoredRows += min((s+1)*plan.shardRows, plan.rows) - s*plan.shardRows
-			}
-		}
 		r.Obs.noteRestored(cp.NumPaths, cp.AdjChecked, cp.DoneCount)
 		if cfg.OnShard != nil {
-			cfg.OnShard(ShardDone{Shard: -1, Restored: true, Rows: restoredRows,
+			cfg.OnShard(ShardDone{Shard: -1, Restored: true, Rows: cp.doneRows(plan),
 				Paths: cp.NumPaths, Done: cp.DoneCount, Total: plan.numShards})
 		}
 	}

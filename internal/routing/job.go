@@ -159,6 +159,13 @@ func RunJob(ctx context.Context, cfg JobConfig) (Stats, error) {
 // content-addressed, so two differently-named but coefficient-equal
 // algorithms produce (and may share) the same certificates.
 func AlgorithmHash(alg *bilinear.Algorithm) string {
+	sum := algorithmDigest(alg)
+	return hex.EncodeToString(sum[:])
+}
+
+// algorithmDigest is AlgorithmHash as raw bytes, the form checkpoints
+// store.
+func algorithmDigest(alg *bilinear.Algorithm) (sum [sha256.Size]byte) {
 	h := sha256.New()
 	fmt.Fprintf(h, "bilinear n0=%d b=%d\n", alg.N0, alg.B())
 	writeMat := func(name string, m [][]rat.Rat) {
@@ -174,7 +181,8 @@ func AlgorithmHash(alg *bilinear.Algorithm) string {
 	writeMat("U", alg.U)
 	writeMat("V", alg.V)
 	writeMat("W", alg.W)
-	return hex.EncodeToString(h.Sum(nil))
+	h.Sum(sum[:0])
+	return sum
 }
 
 // CacheKey returns the content-addressed result-cache key of a job:

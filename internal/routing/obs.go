@@ -47,10 +47,10 @@ type Instruments struct {
 	// for full enumeration and for the stage-1 orbit kernel). The
 	// groups-to-families ratio is the aggregation fan-in.
 	OrbitFamilies *obs.Counter
-	// CheckpointFsync and CheckpointRename split checkpoint-persist
-	// latency into its durability halves (encode+fsync vs rename).
-	CheckpointFsync  *obs.Histogram
-	CheckpointRename *obs.Histogram
+	// CheckpointFsync is the latency of a checkpoint save's encode,
+	// write and fsync (the rename and directory sync that follow are
+	// not timed).
+	CheckpointFsync *obs.Histogram
 	// Tracer, when non-nil, emits spans around shard enumerate, merge,
 	// and checkpoint persist into the run journal.
 	Tracer *obs.Tracer
@@ -88,9 +88,7 @@ func NewInstruments(reg *obs.Registry) *Instruments {
 		OrbitFamilies: reg.Counter("routing_orbit_families_total",
 			"shared-chain families aggregated by the stage-2 orbit kernel"),
 		CheckpointFsync: reg.Histogram("routing_checkpoint_fsync_seconds",
-			"checkpoint encode+fsync latency", obs.LatencyBuckets),
-		CheckpointRename: reg.Histogram("routing_checkpoint_rename_seconds",
-			"checkpoint atomic-rename latency", obs.LatencyBuckets),
+			"checkpoint encode+write+fsync latency", obs.LatencyBuckets),
 	}
 }
 
@@ -105,18 +103,17 @@ func (in *Instruments) WithJob(tc obs.TraceContext) *Instruments {
 		return nil
 	}
 	return &Instruments{
-		Paths:            in.Paths,
-		AdjChecks:        in.AdjChecks,
-		PathsPerSec:      in.PathsPerSec,
-		PeakVertexHits:   in.PeakVertexHits,
-		ShardEnumerate:   in.ShardEnumerate,
-		ShardsDone:       in.ShardsDone,
-		ShardsSkipped:    in.ShardsSkipped,
-		OrbitGroups:      in.OrbitGroups,
-		OrbitFamilies:    in.OrbitFamilies,
-		CheckpointFsync:  in.CheckpointFsync,
-		CheckpointRename: in.CheckpointRename,
-		Tracer:           in.Tracer.WithJob(tc),
+		Paths:           in.Paths,
+		AdjChecks:       in.AdjChecks,
+		PathsPerSec:     in.PathsPerSec,
+		PeakVertexHits:  in.PeakVertexHits,
+		ShardEnumerate:  in.ShardEnumerate,
+		ShardsDone:      in.ShardsDone,
+		ShardsSkipped:   in.ShardsSkipped,
+		OrbitGroups:     in.OrbitGroups,
+		OrbitFamilies:   in.OrbitFamilies,
+		CheckpointFsync: in.CheckpointFsync,
+		Tracer:          in.Tracer.WithJob(tc),
 	}
 }
 

@@ -83,8 +83,7 @@ func (r *Router) VerifyFullRoutingHits(workers int) (Stats, []int64, error) {
 // accumulators are dense vectors indexed by vertex ID — metaHits only
 // has nonzero entries at meta-vertex roots, but a dense vector keeps
 // the per-path accumulation a bounds-checked array add instead of a
-// map operation (the checkpoint file format still stores the sparse
-// map form; see mergeShard).
+// map operation, and is the form the checkpoint merges and stores.
 type workerState struct {
 	hits       hitVec
 	metaHits   hitVec

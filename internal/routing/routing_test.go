@@ -10,7 +10,7 @@ import (
 	"pathrouting/internal/hall"
 )
 
-func mustRouter(t *testing.T, alg *bilinear.Algorithm, k int) *Router {
+func mustRouter(t testing.TB, alg *bilinear.Algorithm, k int) *Router {
 	t.Helper()
 	g, err := cdag.New(alg, k)
 	if err != nil {

@@ -735,14 +735,15 @@ func (s *Server) runJob(j *Job) {
 
 	j.beginLeg(obs.ReadResources())
 	start := time.Now()
-	st, err := routing.RunJob(ctx, routing.JobConfig{
+	ckpt := filepath.Join(j.dir, "run.ckpt")
+	cfg := routing.JobConfig{
 		Alg:            j.alg,
 		K:              j.spec.K,
 		Workers:        s.opts.JobWorkers,
 		AdjStride:      j.spec.AdjStride,
 		Kernel:         j.spec.Kernel,
 		Orbits:         j.spec.Orbits,
-		CheckpointPath: filepath.Join(j.dir, "run.ckpt"),
+		CheckpointPath: ckpt,
 		ShardRows:      j.spec.ShardRows,
 		Resume:         true, // missing checkpoint = fresh run
 		Stop:           s.stop,
@@ -767,7 +768,19 @@ func (s *Server) runJob(j *Job) {
 		},
 		Progress: j.onProgress,
 		Obs:      s.ins,
-	})
+	}
+	st, err := routing.RunJob(ctx, cfg)
+	if errors.Is(err, routing.ErrCheckpointInvalid) {
+		// A checkpoint that cannot be trusted never resumes, and the
+		// job need not fail for it: set the file aside and run the job
+		// once more from scratch.
+		if rerr := os.Rename(ckpt, ckpt+".rejected"); rerr != nil {
+			err = fmt.Errorf("%w (setting the checkpoint aside failed: %v)", err, rerr)
+		} else {
+			fmt.Fprintf(os.Stderr, "serve: job %s: checkpoint set aside as %s.rejected, rerunning from scratch: %v\n", j.id, ckpt, err)
+			st, err = routing.RunJob(ctx, cfg)
+		}
+	}
 	s.met.running.SetInt(s.running.Add(-1))
 	stopHeartbeat()
 	elapsed := time.Since(start)

@@ -7,6 +7,7 @@ package serve
 // certificate), and the HTTP surface.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -255,45 +256,8 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 
 	// First daemon: abort after the second shard completes.
 	dir := t.TempDir()
-	var (
-		s1      *Server
-		once    sync.Once
-		aborted = make(chan struct{})
-	)
-	opts := Options{DataDir: dir, JobWorkers: 2, OnShard: func(_ *Job, d routing.ShardDone) {
-		if !d.Restored && d.Done >= 2 {
-			once.Do(func() {
-				s1.mu.Lock()
-				if !s1.draining {
-					s1.draining = true
-					close(s1.stop) // hard abort: no final flush beyond per-shard saves
-				}
-				s1.mu.Unlock()
-				close(aborted)
-			})
-		}
-	}}
-	s1 = newTestServer(t, opts)
-	s1.Start()
-	j1, err := s1.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-aborted:
-	case <-time.After(30 * time.Second):
-		t.Fatal("failpoint never fired")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s1.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	doc1 := j1.Snapshot()
-	if doc1.State != StateQueued {
-		t.Fatalf("aborted job state = %s, want queued (got %+v)", doc1.State, doc1)
-	}
-	cp, err := routing.LoadCheckpoint(filepath.Join(dir, "jobs", j1.ID(), "run.ckpt"))
+	id := interruptJob(t, dir, spec)
+	cp, err := routing.LoadCheckpoint(filepath.Join(dir, "jobs", id, "run.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,9 +268,9 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 	// Second daemon over the same dir: recovery re-enqueues, the run
 	// resumes from the checkpoint, and the certificate matches.
 	s2 := newTestServer(t, Options{DataDir: dir, JobWorkers: 3})
-	j2, ok := s2.Get(j1.ID())
+	j2, ok := s2.Get(id)
 	if !ok {
-		t.Fatalf("job %s not recovered", j1.ID())
+		t.Fatalf("job %s not recovered", id)
 	}
 	if !j2.Snapshot().Resumed {
 		t.Fatal("recovered job not marked resumed")
@@ -326,6 +290,104 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 }
 
 func withoutElapsed(d statsDoc) statsDoc { d.ElapsedSec = 0; return d }
+
+// interruptJob submits spec to a server over dir and stops that server
+// once two shards are done — stop closed between shards, every
+// completed shard already fsynced to the checkpoint, as after a kill
+// -9 — leaving a job directory that a restarted server recovers. It
+// returns the job's ID.
+func interruptJob(t *testing.T, dir string, spec JobSpec) string {
+	t.Helper()
+	var (
+		s       *Server
+		once    sync.Once
+		aborted = make(chan struct{})
+	)
+	s = newTestServer(t, Options{DataDir: dir, JobWorkers: 2, OnShard: func(_ *Job, d routing.ShardDone) {
+		if !d.Restored && d.Done >= 2 {
+			once.Do(func() {
+				s.BeginDrain() // no final flush beyond the per-shard saves
+				close(aborted)
+			})
+		}
+	}})
+	s.Start()
+	j, err := s.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-aborted:
+	case <-time.After(30 * time.Second):
+		t.Fatal("failpoint never fired")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if doc := j.Snapshot(); doc.State != StateQueued {
+		t.Fatalf("aborted job state = %s, want queued (got %+v)", doc.State, doc)
+	}
+	return j.ID()
+}
+
+// TestRecoveryRejectsUntrustedCheckpoint: a recovered job whose
+// checkpoint cannot be trusted — a version-1 (gob) file, or a current
+// one with a flipped bit — is not failed. Its checkpoint is set aside
+// as run.ckpt.rejected and the job reruns from scratch to the
+// uninterrupted run's certificate.
+func TestRecoveryRejectsUntrustedCheckpoint(t *testing.T) {
+	spec := JobSpec{Alg: "strassen", K: 2, ShardRows: 4} // 8 shards
+	ref := newTestServer(t, Options{})
+	ref.Start()
+	jr, err := ref.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitTerminal(t, ref, jr.ID())
+	if want.State != StateDone {
+		t.Fatalf("reference run: %+v", want)
+	}
+	v1, err := os.ReadFile(filepath.Join("..", "routing", "testdata", "v1-strassen-k2.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(ckpt []byte) []byte
+	}{
+		{"v1 file", func([]byte) []byte { return v1 }},
+		{"flipped bit", func(ckpt []byte) []byte { ckpt[len(ckpt)/2] ^= 0x10; return ckpt }},
+	} {
+		dir := t.TempDir()
+		id := interruptJob(t, dir, spec)
+		path := filepath.Join(dir, "jobs", id, "run.ckpt")
+		ckpt, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := tc.corrupt(ckpt)
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		s := newTestServer(t, Options{DataDir: dir})
+		s.Start()
+		doc := waitTerminal(t, s, id)
+		if doc.State != StateDone {
+			t.Fatalf("%s: recovered job: %+v", tc.name, doc)
+		}
+		if doc.Certificate != want.Certificate || withoutElapsed(*doc.Stats) != withoutElapsed(*want.Stats) {
+			t.Fatalf("%s: rerun certificate differs from uninterrupted run:\nrerun %s\nfresh %s",
+				tc.name, doc.Certificate, want.Certificate)
+		}
+		rejected, err := os.ReadFile(path + ".rejected")
+		if err != nil || !bytes.Equal(rejected, bad) {
+			t.Fatalf("%s: untrusted checkpoint not set aside intact (err %v)", tc.name, err)
+		}
+	}
+}
 
 // TestJobResourcesAccounted: a completed job's doc carries a populated
 // Resources block — timeline stamps, wall/CPU/allocation costs, and a
@@ -370,40 +432,7 @@ func TestJobResourcesAccounted(t *testing.T) {
 // totals instead of resetting them.
 func TestAccountingSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
-	var (
-		s1      *Server
-		once    sync.Once
-		aborted = make(chan struct{})
-	)
-	opts := Options{DataDir: dir, JobWorkers: 2, OnShard: func(_ *Job, d routing.ShardDone) {
-		if !d.Restored && d.Done >= 2 {
-			once.Do(func() {
-				s1.mu.Lock()
-				if !s1.draining {
-					s1.draining = true
-					close(s1.stop)
-				}
-				s1.mu.Unlock()
-				close(aborted)
-			})
-		}
-	}}
-	s1 = newTestServer(t, opts)
-	s1.Start()
-	j1, err := s1.Submit(JobSpec{Alg: "strassen", K: 3, ShardRows: 16}) // 8 shards
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-aborted:
-	case <-time.After(30 * time.Second):
-		t.Fatal("failpoint never fired")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s1.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
+	id := interruptJob(t, dir, JobSpec{Alg: "strassen", K: 3, ShardRows: 16}) // 8 shards
 
 	// The crashed leg's accounting must already be on disk: the shard
 	// boundary persisted spec.json before announcing the shard, so a
@@ -411,7 +440,7 @@ func TestAccountingSurvivesRestart(t *testing.T) {
 	var specRec struct {
 		Resources *ResourcesDoc `json:"resources"`
 	}
-	body, err := os.ReadFile(filepath.Join(dir, "jobs", j1.ID(), "spec.json"))
+	body, err := os.ReadFile(filepath.Join(dir, "jobs", id, "spec.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +461,7 @@ func TestAccountingSurvivesRestart(t *testing.T) {
 	// Restart: the resumed leg folds onto the persisted totals.
 	s2 := newTestServer(t, Options{DataDir: dir, JobWorkers: 3})
 	s2.Start()
-	doc := waitTerminal(t, s2, j1.ID())
+	doc := waitTerminal(t, s2, id)
 	if doc.State != StateDone {
 		t.Fatalf("resumed job: %+v", doc)
 	}
