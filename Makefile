@@ -37,9 +37,14 @@ vet386:
 # serve package layers SSE fan-out and the job broadcaster on top, and
 # the obs package's runtime sampler publishes into the registry the
 # debug server scrapes concurrently; run all three under the race
-# detector on every verify.
+# detector on every verify. In the pebble package only SweepM starts
+# goroutines: its concurrent simulations share one graph's lazily
+# built CSR index. The race pass runs its SweepM tests; the rest of the
+# package is single-goroutine, and its golden sweep alone takes over a
+# minute under the race detector.
 race:
 	$(GO) test -race ./internal/routing/... ./internal/serve/... ./internal/obs/...
+	$(GO) test -race -run 'SweepM' ./internal/pebble/...
 
 bench-routing:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime 5x -benchmem .
@@ -75,11 +80,14 @@ bench-diff:
 	if [ $$st -eq 3 ]; then echo "bench-diff: WARNING: soft (wall-clock) metric past $(BENCH_TOLERANCE)% — not failing the gate"; st=0; fi; \
 	exit $$st
 
-# CI smoke: one iteration of the parallel-verification benchmark, with
-# allocation counts — catches a bench-harness or kernel regression
-# without paying for a full measured run.
+# CI smoke: one iteration of the parallel-verification benchmark, the
+# pebble simulator per policy and the segment certifier, with
+# allocation counts — catches a bench-harness, kernel, simulator or
+# certifier regression without paying for a full measured run. The
+# simulator and certifier benchmarks are not in BENCH_PATTERN, so the
+# hard allocs/op gate of bench-diff does not cover them yet.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkA7ParallelVerification' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkA7ParallelVerification|BenchmarkSimulatorRun|BenchmarkCertify' -benchtime 1x -benchmem .
 
 # Fuzz smoke: every fuzz target in the module for 10 s each, past its
 # seed corpus (plain `go test` runs only the seeds). `go test -fuzz`

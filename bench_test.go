@@ -465,6 +465,58 @@ func BenchmarkA5PolicyAblation(b *testing.B) {
 	}
 }
 
+// BenchmarkSimulatorRun times one Simulator.Run of the DFS schedule of
+// Strassen G_5 at M = 48 under each policy, the pebble-r5 workload's
+// runs, with the graph's CSR index built beforehand. allocs/op counts
+// the run's dense tables; it does not depend on the schedule length.
+func BenchmarkSimulatorRun(b *testing.B) {
+	g, err := cdag.New(bilinear.Strassen(), 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched := schedule.RecursiveDFS(g)
+	g.EnsureAdjacencyIndex()
+	for _, pol := range []pebble.Policy{pebble.MIN, pebble.LRU, pebble.FIFO} {
+		b.Run(pol.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			var io int64
+			for i := 0; i < b.N; i++ {
+				res, err := (&pebble.Simulator{G: g, M: 48, P: pol}).Run(sched)
+				if err != nil {
+					b.Fatal(err)
+				}
+				io = res.IO()
+			}
+			b.ReportMetric(float64(io), "io")
+		})
+	}
+}
+
+// BenchmarkCertify times core.Certify on the DFS schedule of Strassen
+// G_5 (K = 2, relaxed target 8: 3,385 segments), the pebble-r5
+// workload's certification. allocs/op does not depend on the number of
+// segments.
+func BenchmarkCertify(b *testing.B) {
+	g, err := cdag.New(bilinear.Strassen(), 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched := schedule.RecursiveDFS(g)
+	g.EnsureAdjacencyIndex()
+	g.EnsureMetaRootIndex()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var segs int
+	for i := 0; i < b.N; i++ {
+		cert, err := core.Certify(g, sched, core.Options{K: 2, RelaxedTarget: 8})
+		if err != nil {
+			b.Fatal(err)
+		}
+		segs = cert.CompleteSegments
+	}
+	b.ReportMetric(float64(segs), "segments")
+}
+
 // BenchmarkA6FastCutoff sweeps the recursion cutoff of the real
 // arithmetic (the classic Strassen tuning knob).
 func BenchmarkA6FastCutoff(b *testing.B) {

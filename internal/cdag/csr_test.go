@@ -91,3 +91,34 @@ func TestAdjacencyIndexConcurrentInit(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestParentRowMatchesAppendParents requires every CSR row to list a
+// vertex's parents exactly as AppendParents does, order included, for
+// every catalog algorithm at r ≤ 3: the pebble simulator reads rows
+// where it used to call AppendParents, and its eviction ties depend on
+// the order parents are touched.
+func TestParentRowMatchesAppendParents(t *testing.T) {
+	for _, alg := range bilinear.All() {
+		for r := 1; r <= 3; r++ {
+			g, err := New(alg, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf []Edge
+			for v := V(0); int(v) < g.NumVertices(); v++ {
+				buf = g.AppendParents(v, buf[:0])
+				row := g.ParentRow(v)
+				if len(row) != len(buf) || cap(row) != len(row) {
+					t.Fatalf("%s r=%d: %s has row len %d cap %d, want %d parents",
+						alg.Name, r, g.Label(v), len(row), cap(row), len(buf))
+				}
+				for i, e := range buf {
+					if row[i] != e.To {
+						t.Fatalf("%s r=%d: %s parent %d is %s in the row, %s from AppendParents",
+							alg.Name, r, g.Label(v), i, g.Label(row[i]), g.Label(e.To))
+					}
+				}
+			}
+		}
+	}
+}

@@ -149,24 +149,32 @@ func (g *Graph) InputMetaRoots(prefix int64, k int) []V {
 // that at least a 1/b² fraction can be selected whenever neither
 // encoding graph consists entirely of duplicated vertices; the greedy
 // selection typically does much better.
+//
+// The selection reads the dense meta-root table and marks taken roots
+// in a dense table, so its allocation count does not depend on r; the
+// disjointness test is InputMetaRoots' (a clash on any input root).
 func (g *Graph) InputDisjointCollection(k int) []int64 {
 	nSub := g.powB[g.R-k]
-	taken := make(map[V]struct{})
-	var picked []int64
-	for p := int64(0); p < nSub; p++ {
-		roots := g.InputMetaRoots(p, k)
-		ok := true
-		for _, r := range roots {
-			if _, clash := taken[r]; clash {
-				ok = false
-				break
+	roots := g.MetaRoots()
+	taken := make([]bool, g.total)
+	picked := make([]int64, 0, nSub)
+	nIn := g.powA[k]
+	baseA, baseB := g.offEncA[g.R-k], g.offEncB[g.R-k]
+	clash := func(p int64) bool {
+		for s := p * nIn; s < (p+1)*nIn; s++ {
+			if taken[roots[baseA+s]] || taken[roots[baseB+s]] {
+				return true
 			}
 		}
-		if !ok {
+		return false
+	}
+	for p := int64(0); p < nSub; p++ {
+		if clash(p) {
 			continue
 		}
-		for _, r := range roots {
-			taken[r] = struct{}{}
+		for s := p * nIn; s < (p+1)*nIn; s++ {
+			taken[roots[baseA+s]] = true
+			taken[roots[baseB+s]] = true
 		}
 		picked = append(picked, p)
 	}

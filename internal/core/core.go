@@ -26,6 +26,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"pathrouting/internal/cdag"
 	"pathrouting/internal/pebble"
@@ -130,74 +131,24 @@ func Certify(g *cdag.Graph, sched []cdag.V, opts Options) (*Certificate, error) 
 	if len(collection) == 0 {
 		return nil, fmt.Errorf("core: no input-disjoint subcomputations at K = %d", opts.K)
 	}
-	inC := make(map[int64]struct{}, len(collection))
-	for _, p := range collection {
-		inC[p] = struct{}{}
-	}
-
-	// Counted weight per meta-vertex root: the number of counted
-	// vertices (decoding rank k or encoding rank r−k, inside C) in the
-	// root's meta-vertex. Adding any member of the meta-vertex to S
-	// contributes the root's full weight to |S̄| exactly once.
-	weight := make(map[cdag.V]int64)
-	addCounted := func(v cdag.V) {
-		if sub := g.Subcomputation(v, opts.K); sub >= 0 {
-			if _, ok := inC[sub]; ok {
-				weight[g.MetaRoot(v)]++
-				cert.CountedTotal++
-			}
-		}
-	}
-	for _, kind := range []cdag.Kind{cdag.EncA, cdag.EncB} {
-		n := int64(g.LayerSize(kind, r-opts.K))
-		for i := int64(0); i < n; i++ {
-			addCounted(g.ID(kind, r-opts.K, i))
-		}
-	}
-	nDec := int64(g.LayerSize(cdag.Dec, opts.K))
-	for i := int64(0); i < nDec; i++ {
-		addCounted(g.ID(cdag.Dec, opts.K, i))
-	}
+	sg := newSegmenter(g, opts.K, collection)
+	cert.CountedTotal = sg.total
 	if cert.CountedTotal < cert.Target {
 		return nil, fmt.Errorf("core: only %d counted vertices for target %d; shrink M or grow r",
 			cert.CountedTotal, cert.Target)
 	}
-	maxWeight := int64(0)
-	for _, w := range weight {
-		if w > maxWeight {
-			maxWeight = w
-		}
-	}
-	if cert.Target+maxWeight-1 > aK/2 {
+	if maxWeight := int64(slices.Max(sg.weight)); cert.Target+maxWeight-1 > aK/2 {
 		return nil, fmt.Errorf(
 			"core: quota %d plus worst meta-vertex weight %d can exceed aᴷ/2 = %d; |S̄| ≤ ½aᴷ would be unguaranteed",
 			cert.Target, maxWeight, aK/2)
 	}
 
 	// Step 2: minimal segments with |S̄| ≥ 36M, counting each
-	// meta-vertex once per segment.
-	type seg struct {
-		start, end int
-		counted    int64
-	}
-	var segs []seg
-	seen := make(map[cdag.V]struct{})
-	start, acc := 0, int64(0)
-	for pos, v := range sched {
-		root := g.MetaRoot(v)
-		if _, dup := seen[root]; !dup {
-			seen[root] = struct{}{}
-			if w, ok := weight[root]; ok {
-				acc += w
-			}
-		}
-		if acc >= cert.Target {
-			segs = append(segs, seg{start, pos + 1, acc})
-			start, acc = pos+1, 0
-			clear(seen)
-		}
-	}
-	// (The trailing partial segment is not certified — as in the paper.)
+	// meta-vertex once per segment. A first cut only counts them, so
+	// the reports are allocated once.
+	nSegs := 0
+	_ = sg.cut(sched, cert.Target, func(int, int, int64) error { nSegs++; return nil }) // counting never fails
+	cert.Segments = make([]SegmentReport, 0, nSegs)
 
 	// Step 3: Equation (2) for every complete segment.
 	var gk *cdag.Graph
@@ -213,46 +164,131 @@ func Certify(g *cdag.Graph, sched []cdag.V, opts Options) (*Certificate, error) 
 			return nil, fmt.Errorf("core: deep verification router: %w", err)
 		}
 	}
+	ev := pebble.NewSegmentEvaluator(g)
 	deepBudget := opts.DeepSegments
-	for _, sg := range segs {
-		s := pebble.MetaClosure(g, sched[sg.start:sg.end])
-		b := pebble.ComputeBoundary(g, s)
-		rep := SegmentReport{Start: sg.start, End: sg.end, Counted: sg.counted, DeltaMeta: b.DeltaMeta}
-		ratio := float64(b.DeltaMeta) / float64(sg.counted)
+	err := sg.cut(sched, cert.Target, func(start, end int, counted int64) error {
+		ev.Close(sched[start:end])
+		b := segmentBoundary(ev)
+		rep := SegmentReport{Start: start, End: end, Counted: counted, DeltaMeta: b.DeltaMeta}
+		ratio := float64(b.DeltaMeta) / float64(counted)
 		if ratio < cert.MinDeltaRatio {
 			cert.MinDeltaRatio = ratio
 		}
-		if 12*b.DeltaMeta < sg.counted {
-			return cert, fmt.Errorf(
+		if 12*b.DeltaMeta < counted {
+			return fmt.Errorf(
 				"core: Equation (2) fails on segment [%d,%d): |δ′(S′)| = %d < |S̄|/12 = %d/12",
-				sg.start, sg.end, b.DeltaMeta, sg.counted)
+				start, end, b.DeltaMeta, counted)
 		}
 		if !relaxed && b.DeltaMeta < 3*opts.M {
-			return cert, fmt.Errorf(
-				"core: segment [%d,%d): |δ′(S′)| = %d < 3M = %d", sg.start, sg.end, b.DeltaMeta, 3*opts.M)
+			return fmt.Errorf(
+				"core: segment [%d,%d): |δ′(S′)| = %d < 3M = %d", start, end, b.DeltaMeta, 3*opts.M)
 		}
 		// Step 4: deep routing-based derivation on a budget.
 		if deepBudget > 0 {
 			deepBudget--
-			crossings, err := deepVerify(g, gk, router, collection, s, sg.counted, b.DeltaMeta, opts.K)
+			crossings, err := deepVerify(g, gk, router, collection, ev, counted, b.DeltaMeta, opts.K)
 			if err != nil {
-				return cert, err
+				return err
 			}
 			rep.CrossingPaths = crossings
 		}
 		cert.Segments = append(cert.Segments, rep)
 		cert.CompleteSegments++
+		return nil
+	})
+	if err != nil {
+		return cert, err
 	}
+	// (The trailing partial segment is not certified — as in the paper.)
 	cert.CertifiedIO = int64(cert.CompleteSegments) * opts.M
 	return cert, nil
 }
 
-// deepVerify re-derives Equation (2) for one segment from the Routing
-// Theorem: embeds the 6aᵏ-routing in every collection subcomputation,
-// counts boundary-crossing paths |P|, and checks |P| ≥ ½aᵏ·|S̄| and
-// 6aᵏ·|δ′(S′)| ≥ |P|.
+// segmentBoundary evaluates Definition 1 on an evaluator's current
+// segment. It is a variable only so tests can force a boundary below
+// the bound and see every certifier's inequality check fail.
+var segmentBoundary = (*pebble.SegmentEvaluator).Boundary
+
+// segmenter cuts a computation sequence into the proof's minimal
+// segments: a segment closes at the first position where the counted
+// weights of the distinct meta-vertices it has touched reach the
+// target. Its tables are dense over vertex IDs and serve every
+// segment.
+type segmenter struct {
+	roots []cdag.V
+	// weight[root] is the number of counted vertices (decoding rank k
+	// or encoding rank r−k, inside the collection) in root's
+	// meta-vertex. Adding any member of the meta-vertex to S contributes
+	// the root's full weight to |S̄| exactly once.
+	weight []int32
+	total  int64 // Σ weight
+	// seen[root] == stamp ⇔ the current segment has touched root.
+	seen  []uint32
+	stamp uint32
+}
+
+// newSegmenter computes the counted weights of the K-subcomputations
+// whose prefixes are listed in collection.
+func newSegmenter(g *cdag.Graph, k int, collection []int64) *segmenter {
+	n := g.NumVertices()
+	sg := &segmenter{roots: g.MetaRoots(), weight: make([]int32, n), seen: make([]uint32, n)}
+	nSub := 1 // b^(r−k) subcomputations
+	for i := k; i < g.R; i++ {
+		nSub *= g.B()
+	}
+	inC := make([]bool, nSub)
+	for _, p := range collection {
+		inC[p] = true
+	}
+	add := func(kind cdag.Kind, rank int) {
+		base, size := g.LayerBase(kind, rank), g.LayerSize(kind, rank)
+		for i := 0; i < size; i++ {
+			v := base + cdag.V(i)
+			if sub := g.Subcomputation(v, k); sub >= 0 && inC[sub] {
+				sg.weight[sg.roots[v]]++
+				sg.total++
+			}
+		}
+	}
+	add(cdag.EncA, g.R-k)
+	add(cdag.EncB, g.R-k)
+	add(cdag.Dec, k)
+	return sg
+}
+
+// cut calls emit for each complete segment of seq, in order, and stops
+// at emit's first error. The trailing partial segment is not emitted.
+func (sg *segmenter) cut(seq []cdag.V, target int64, emit func(start, end int, counted int64) error) error {
+	fresh := func() {
+		if sg.stamp++; sg.stamp == 0 {
+			clear(sg.seen)
+			sg.stamp = 1
+		}
+	}
+	fresh()
+	start, acc := 0, int64(0)
+	for pos, v := range seq {
+		if r := sg.roots[v]; sg.seen[r] != sg.stamp {
+			sg.seen[r] = sg.stamp
+			acc += int64(sg.weight[r])
+		}
+		if acc >= target {
+			if err := emit(start, pos+1, acc); err != nil {
+				return err
+			}
+			start, acc = pos+1, 0
+			fresh()
+		}
+	}
+	return nil
+}
+
+// deepVerify re-derives Equation (2) for one segment, the evaluator's
+// current S′, from the Routing Theorem: embeds the 6aᵏ-routing in every
+// collection subcomputation, counts boundary-crossing paths |P|, and
+// checks |P| ≥ ½aᵏ·|S̄| and 6aᵏ·|δ′(S′)| ≥ |P|.
 func deepVerify(g *cdag.Graph, gk *cdag.Graph, router *routing.Router,
-	collection []int64, s pebble.Set, counted int64, deltaMeta int64, k int) (int64, error) {
+	collection []int64, s *pebble.SegmentEvaluator, counted int64, deltaMeta int64, k int) (int64, error) {
 	aK := int64(1)
 	for i := 0; i < k; i++ {
 		aK *= int64(g.A())

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pathrouting/internal/bilinear"
@@ -304,5 +305,80 @@ func TestCertifyParallelSingleProcMatchesSequentialSpirit(t *testing.T) {
 	}
 	if par.CompleteSegments != seq.CompleteSegments {
 		t.Errorf("P=1 parallel segments %d != sequential %d", par.CompleteSegments, seq.CompleteSegments)
+	}
+}
+
+// TestCertifiersRejectBoundaryBelowBound is the negative control for
+// the segment inequalities: with every segment's boundary forced to
+// zero through the segmentBoundary seam, each certifier must fail with
+// its own inequality's error. A certifier whose check were switched off
+// would pass here.
+func TestCertifiersRejectBoundaryBelowBound(t *testing.T) {
+	defer func(f func(*pebble.SegmentEvaluator) pebble.Boundary) { segmentBoundary = f }(segmentBoundary)
+	segmentBoundary = func(*pebble.SegmentEvaluator) pebble.Boundary { return pebble.Boundary{} }
+
+	g4 := mustGraph(t, bilinear.Strassen(), 4)
+	dfs4 := schedule.RecursiveDFS(g4)
+	owner := make([]int32, g4.NumVertices())
+	g5 := mustGraph(t, bilinear.Strassen(), 5)
+	for _, tc := range []struct {
+		name, want string
+		run        func() error
+	}{
+		{"Certify relaxed", "Equation (2) fails", func() error {
+			_, err := Certify(g4, dfs4, Options{K: 2, RelaxedTarget: 8})
+			return err
+		}},
+		{"Certify", "Equation (2) fails", func() error {
+			_, err := Certify(g5, schedule.RecursiveDFS(g5), Options{K: 4, M: 3})
+			return err
+		}},
+		{"CertifyParallel", "parallel Equation (2) fails", func() error {
+			_, err := CertifyParallel(g4, dfs4, owner, 1, 2, 0, 8)
+			return err
+		}},
+		{"CertifySection5", "Equation (1) fails", func() error {
+			_, err := CertifySection5(g5, schedule.RecursiveDFS(g5), 4, 1)
+			return err
+		}},
+	} {
+		err := tc.run()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s with a zero boundary: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestCertifyAllocationsFlatInSegments pins Certify's allocations: the
+// dense segmenter and evaluator serve every segment, so the count is
+// the same at r=3 (58 segments) and r=4 (467). Only the evaluator's
+// member buffer grows, with the largest segment rather than the number
+// of segments, so quota 2 at r=4 (1,988 smaller segments) allocates no
+// more than quota 8.
+func TestCertifyAllocationsFlatInSegments(t *testing.T) {
+	allocs := func(r int, target int64) (float64, int) {
+		g := mustGraph(t, bilinear.Strassen(), r)
+		sched := schedule.RecursiveDFS(g)
+		g.EnsureAdjacencyIndex()
+		g.EnsureMetaRootIndex()
+		var segs int
+		a := testing.AllocsPerRun(10, func() {
+			cert, err := Certify(g, sched, Options{K: 2, RelaxedTarget: target})
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs = cert.CompleteSegments
+		})
+		return a, segs
+	}
+	a3, s3 := allocs(3, 8)
+	a4, s4 := allocs(4, 8)
+	a4q2, s4q2 := allocs(4, 2)
+	if s3 >= s4 || s4 >= s4q2 {
+		t.Fatalf("segment counts %d, %d, %d do not grow", s3, s4, s4q2)
+	}
+	if a3 != a4 || a4q2 > a4 {
+		t.Errorf("Certify allocations %v (r=3, %d segments), %v (r=4, %d), %v (r=4 quota 2, %d): want flat in the segment count",
+			a3, s3, a4, s4, a4q2, s4q2)
 	}
 }

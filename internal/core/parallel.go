@@ -76,39 +76,21 @@ func CertifyParallel(g *cdag.Graph, sched []cdag.V, owner []int32, p int, k int,
 	if len(collection) == 0 {
 		return nil, fmt.Errorf("core: parallel: no input-disjoint subcomputations")
 	}
-	inC := make(map[int64]struct{}, len(collection))
-	for _, pr := range collection {
-		inC[pr] = struct{}{}
-	}
-	weight := make(map[cdag.V]int64)
-	add := func(v cdag.V) {
-		if sub := g.Subcomputation(v, k); sub >= 0 {
-			if _, ok := inC[sub]; ok {
-				weight[g.MetaRoot(v)]++
-			}
-		}
-	}
-	for _, kind := range []cdag.Kind{cdag.EncA, cdag.EncB} {
-		n := int64(g.LayerSize(kind, g.R-k))
-		for i := int64(0); i < n; i++ {
-			add(g.ID(kind, g.R-k, i))
-		}
-	}
-	nDec := int64(g.LayerSize(cdag.Dec, k))
-	for i := int64(0); i < nDec; i++ {
-		add(g.ID(cdag.Dec, k, i))
-	}
+	sg := newSegmenter(g, k, collection)
 
 	// Per-processor counted totals (counted vertex charged to the
 	// processor computing it; meta members may be spread — charge the
 	// root's owner, the paper's value-level accounting).
 	perProc := make([]int64, p)
-	for root, w := range weight {
+	for root, w := range sg.weight {
+		if w == 0 {
+			continue
+		}
 		o := owner[root]
 		if int(o) >= p || o < 0 {
 			return nil, fmt.Errorf("core: parallel: owner %d out of range", o)
 		}
-		perProc[o] += w
+		perProc[o] += int64(w)
 	}
 	busiest, best := 0, int64(-1)
 	var total int64
@@ -125,7 +107,13 @@ func CertifyParallel(g *cdag.Graph, sched []cdag.V, owner []int32, p int, k int,
 	cert := &ParallelCertificate{P: p, BusiestProc: busiest, BusiestCounted: best, MinDeltaRatio: 1e18}
 
 	// The busiest processor's own computation sequence.
-	var mine []cdag.V
+	nMine := 0
+	for _, v := range sched {
+		if owner[v] == int32(busiest) {
+			nMine++
+		}
+	}
+	mine := make([]cdag.V, 0, nMine)
 	for _, v := range sched {
 		if owner[v] == int32(busiest) {
 			mine = append(mine, v)
@@ -135,35 +123,22 @@ func CertifyParallel(g *cdag.Graph, sched []cdag.V, owner []int32, p int, k int,
 	// boundary: vertices the processor reads from others, writes to
 	// others, or shares across segment boundaries all cross the network
 	// or its local memory; δ′(S′) − 2M of them are words moved.
-	seen := make(map[cdag.V]struct{})
-	start, acc := 0, int64(0)
-	type seg struct{ start, end int }
-	var segs []seg
-	for pos, v := range mine {
-		root := g.MetaRoot(v)
-		if _, dup := seen[root]; !dup {
-			seen[root] = struct{}{}
-			if w, ok := weight[root]; ok {
-				acc += w
-			}
-		}
-		if acc >= target {
-			segs = append(segs, seg{start, pos + 1})
-			start, acc = pos+1, 0
-			clear(seen)
-		}
-	}
-	for _, sg := range segs {
-		s := pebble.MetaClosure(g, mine[sg.start:sg.end])
-		b := pebble.ComputeBoundary(g, s)
+	ev := pebble.NewSegmentEvaluator(g)
+	err := sg.cut(mine, target, func(start, end int, _ int64) error {
+		ev.Close(mine[start:end])
+		b := segmentBoundary(ev)
 		ratio := float64(b.DeltaMeta) / float64(target)
 		if ratio < cert.MinDeltaRatio {
 			cert.MinDeltaRatio = ratio
 		}
 		if 12*b.DeltaMeta < target {
-			return cert, fmt.Errorf("core: parallel Equation (2) fails on segment [%d,%d)", sg.start, sg.end)
+			return fmt.Errorf("core: parallel Equation (2) fails on segment [%d,%d)", start, end)
 		}
 		cert.CompleteSegments++
+		return nil
+	})
+	if err != nil {
+		return cert, err
 	}
 	if !relaxed {
 		cert.CertifiedWords = int64(cert.CompleteSegments) * m

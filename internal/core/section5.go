@@ -71,54 +71,45 @@ func CertifySection5(g *cdag.Graph, sched []cdag.V, k int, m int64) (*Section5Ce
 	}
 
 	cert := &Section5Certificate{K: k, M: m, Target: 66 * m, MinDeltaRatio: 1e18}
-	counted := func(v cdag.V) bool {
-		kind, rank, _ := g.Locate(v)
-		return kind == cdag.Dec && rank == k
-	}
+	decBase := g.LayerBase(cdag.Dec, k)
 	// Total counted vertices: aᵏ·b^(r−k); must cover at least one
 	// segment.
-	layer := int64(g.LayerSize(cdag.Dec, k))
-	if layer < cert.Target {
+	layer := g.LayerSize(cdag.Dec, k)
+	if int64(layer) < cert.Target {
 		return nil, fmt.Errorf("core: section 5: only %d counted vertices for quota %d", layer, cert.Target)
 	}
 
-	// Cut segments: decoding vertices are never copies (Lemma 2), so
-	// counting is one per vertex — no meta-weighting needed.
+	// Cut segments and check each as it closes: decoding vertices are
+	// never copies (Lemma 2), so counting is one per vertex — no
+	// meta-weighting needed.
+	ev := pebble.NewSegmentEvaluator(g)
 	start, acc := 0, int64(0)
-	type seg struct {
-		start, end int
-		counted    int64
-	}
-	var segs []seg
 	for pos, v := range sched {
-		if counted(v) {
+		if uint32(v-decBase) < uint32(layer) {
 			acc++
 		}
-		if acc >= cert.Target {
-			segs = append(segs, seg{start, pos + 1, acc})
-			start, acc = pos+1, 0
+		if acc < cert.Target {
+			continue
 		}
-	}
-
-	for _, sg := range segs {
 		// S is still meta-closed (the paper's convention), but S̄ only
 		// counts decoding-rank-k vertices.
-		s := pebble.MetaClosure(g, sched[sg.start:sg.end])
-		b := pebble.ComputeBoundary(g, s)
-		ratio := float64(b.Delta()) / float64(sg.counted)
+		ev.Close(sched[start : pos+1])
+		b := segmentBoundary(ev)
+		ratio := float64(b.Delta()) / float64(acc)
 		if ratio < cert.MinDeltaRatio {
 			cert.MinDeltaRatio = ratio
 		}
-		if 22*b.Delta() < sg.counted {
+		if 22*b.Delta() < acc {
 			return cert, fmt.Errorf(
 				"core: Equation (1) fails on segment [%d,%d): |δ(S)| = %d < |S̄|/22 = %d/22",
-				sg.start, sg.end, b.Delta(), sg.counted)
+				start, pos+1, b.Delta(), acc)
 		}
 		if b.Delta() < 3*m {
 			return cert, fmt.Errorf(
-				"core: section 5 segment [%d,%d): |δ(S)| = %d < 3M", sg.start, sg.end, b.Delta())
+				"core: section 5 segment [%d,%d): |δ(S)| = %d < 3M", start, pos+1, b.Delta())
 		}
 		cert.CompleteSegments++
+		start, acc = pos+1, 0
 	}
 	cert.CertifiedIO = int64(cert.CompleteSegments) * m
 	return cert, nil

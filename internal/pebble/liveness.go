@@ -45,11 +45,9 @@ func AnalyzeLiveness(g *cdag.Graph, sched []cdag.V) (Liveness, error) {
 	for i := range lastUse {
 		lastUse[i] = -1
 	}
-	var buf []cdag.Edge
 	for pos, v := range sched {
-		buf = g.AppendParents(v, buf[:0])
-		for _, e := range buf {
-			lastUse[e.To] = int32(pos)
+		for _, p := range g.ParentRow(v) {
+			lastUse[p] = int32(pos)
 		}
 	}
 	// Sweep: maintain the live count.
@@ -60,10 +58,10 @@ func AnalyzeLiveness(g *cdag.Graph, sched []cdag.V) (Liveness, error) {
 	for pos, v := range sched {
 		// Parents become live at first use if they are inputs (loaded);
 		// non-input parents are already live (computed earlier).
-		buf = g.AppendParents(v, buf[:0])
-		for _, e := range buf {
-			if g.IsInput(e.To) && !firstUse[e.To] {
-				firstUse[e.To] = true
+		parents := g.ParentRow(v)
+		for _, p := range parents {
+			if g.IsInput(p) && !firstUse[p] {
+				firstUse[p] = true
 				live++
 			}
 		}
@@ -77,8 +75,8 @@ func AnalyzeLiveness(g *cdag.Graph, sched []cdag.V) (Liveness, error) {
 		// Values whose last use is this position die now; the computed
 		// vertex itself dies immediately if never used again and not an
 		// output awaiting write-out (we count the write as death).
-		for _, e := range buf {
-			if lastUse[e.To] == int32(pos) {
+		for _, p := range parents {
+			if lastUse[p] == int32(pos) {
 				live--
 			}
 		}

@@ -19,7 +19,6 @@
 package pebble
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -83,41 +82,106 @@ type Simulator struct {
 	Obs *Instruments
 }
 
-// state tracks one cache-resident value.
-type state struct {
-	inCache   bool
-	inSlow    bool // a valid copy exists in slow memory
-	heapIdx   int  // index in the eviction heap, -1 if absent
-	nextUse   int32
-	lastTouch int64 // LRU timestamp or FIFO entry sequence
+// Per-vertex state flags of a run.
+const (
+	inCache  uint8 = 1 << iota // the value is resident in fast memory
+	inSlow                     // a valid copy exists in slow memory
+	computed                   // the schedule has computed the vertex
+)
+
+// evictEntry is one cache-resident, unpinned value in the eviction
+// heap. Its key is fixed when the value enters the heap: a value's next
+// use and last touch change only while it is pinned as a parent, and a
+// pinned value is out of the heap. The key is the next use for MIN and
+// the negated last touch for LRU, so the victim is always the entry
+// with the largest key. FIFO shares LRU's key, so today it evicts the
+// least recently used value rather than the one that entered the cache
+// first; carrying a cached parent's heap key through its pin would
+// make it FIFO.
+type evictEntry struct {
+	key int64
+	v   cdag.V
 }
 
-// evictHeap orders cache-resident, currently-unpinned vertices by the
-// policy's eviction priority (max-heap on priority).
+// evictHeap is a max-heap on key that records each vertex's position
+// in pos (-1 when absent). push, pop and remove sift exactly as
+// container/heap's Push, Pop and Remove do, step for step. The order
+// matters: MIN keys tie (two parents of one vertex share a next use),
+// and which tied entry surfaces decides the victims and so Writes.
 type evictHeap struct {
-	ids  []cdag.V
-	st   []state
-	less func(a, b cdag.V, st []state) bool
+	e   []evictEntry
+	pos []int32
 }
 
-func (h *evictHeap) Len() int { return len(h.ids) }
-func (h *evictHeap) Less(i, j int) bool {
-	return h.less(h.ids[i], h.ids[j], h.st)
+func (h *evictHeap) less(i, j int) bool { return h.e[i].key > h.e[j].key }
+
+func (h *evictHeap) swap(i, j int) {
+	h.e[i], h.e[j] = h.e[j], h.e[i]
+	h.pos[h.e[i].v] = int32(i)
+	h.pos[h.e[j].v] = int32(j)
 }
-func (h *evictHeap) Swap(i, j int) {
-	h.ids[i], h.ids[j] = h.ids[j], h.ids[i]
-	h.st[h.ids[i]].heapIdx = i
-	h.st[h.ids[j]].heapIdx = j
+
+func (h *evictHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
 }
-func (h *evictHeap) Push(x any) {
-	v := x.(cdag.V)
-	h.st[v].heapIdx = len(h.ids)
-	h.ids = append(h.ids, v)
+
+func (h *evictHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 {
+			break
+		}
+		j := j1
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
 }
-func (h *evictHeap) Pop() any {
-	v := h.ids[len(h.ids)-1]
-	h.ids = h.ids[:len(h.ids)-1]
-	h.st[v].heapIdx = -1
+
+func (h *evictHeap) push(x evictEntry) {
+	h.pos[x.v] = int32(len(h.e))
+	h.e = append(h.e, x)
+	h.up(len(h.e) - 1)
+}
+
+// pop removes and returns the entry with the largest key.
+func (h *evictHeap) pop() cdag.V {
+	n := len(h.e) - 1
+	h.swap(0, n)
+	h.down(0, n)
+	return h.dropLast()
+}
+
+// remove deletes the entry at index i.
+func (h *evictHeap) remove(i int) {
+	n := len(h.e) - 1
+	if n != i {
+		h.swap(i, n)
+		if !h.down(i, n) {
+			h.up(i)
+		}
+	}
+	h.dropLast()
+}
+
+func (h *evictHeap) dropLast() cdag.V {
+	v := h.e[len(h.e)-1].v
+	h.e = h.e[:len(h.e)-1]
+	h.pos[v] = -1
 	return v
 }
 
@@ -144,7 +208,7 @@ func checkScheduleLen(n int) error {
 }
 
 // checkUseCount rejects use-list growth past int32 indexing (the
-// next-use chains store int32 links; with fan-in ≥ 2 they can overflow
+// next-use lists are int32-indexed; with fan-in ≥ 2 they can overflow
 // even when the schedule length alone does not).
 func checkUseCount(have, add int) error {
 	if have > math.MaxInt32-add {
@@ -157,6 +221,10 @@ func checkUseCount(have, add int) error {
 // must be a topological order of every non-input vertex of the graph
 // (use schedule-package generators); Run validates as it goes and
 // returns an error on the first violation.
+//
+// A run reads parents from the graph's CSR index (cdag.ParentRow,
+// built on first use and shared) and allocates a fixed number of
+// dense per-vertex tables, however long the schedule.
 func (s *Simulator) Run(schedule []cdag.V) (Result, error) {
 	g := s.G
 	if s.M < 2 {
@@ -166,86 +234,80 @@ func (s *Simulator) Run(schedule []cdag.V) (Result, error) {
 		return Result{}, err
 	}
 	n := g.NumVertices()
+	// Inputs are EncA and EncB rank 0, outputs the last decoding rank,
+	// which ends the ID space.
+	aIn, bIn := g.LayerBase(cdag.EncA, 0), g.LayerBase(cdag.EncB, 0)
+	nIn := uint32(g.LayerSize(cdag.EncA, 0))
+	isInput := func(v cdag.V) bool { return uint32(v-aIn) < nIn || uint32(v-bIn) < nIn }
+	outLo := g.LayerBase(cdag.Dec, g.R)
 
-	// Next-use lists: for every vertex, the schedule positions where it
-	// is used as a parent, in increasing order; consumed front to back.
-	useHead := make([]int32, n) // index into useNext chains
-	for i := range useHead {
-		useHead[i] = -1
-	}
-	type useEntry struct {
-		pos  int32
-		next int32
-	}
-	var uses []useEntry
-	var parentBuf []cdag.Edge
-	// Build in reverse so chains come out in increasing position order.
-	for pos := len(schedule) - 1; pos >= 0; pos-- {
-		v := schedule[pos]
-		parentBuf = g.AppendParents(v, parentBuf[:0])
-		if err := checkUseCount(len(uses), len(parentBuf)); err != nil {
+	// Next-use lists: usePos holds, for every vertex, the schedule
+	// positions where it is a parent, in increasing order and closed by
+	// a `never` sentinel; next[v] indexes v's next use. Count first so
+	// both tables are allocated once at their final size.
+	next := make([]int32, n)
+	uses := n // one sentinel per vertex
+	for _, v := range schedule {
+		if uint32(v) >= uint32(n) {
+			return Result{}, fmt.Errorf("pebble: schedule contains vertex %d outside [0,%d)", v, n)
+		}
+		row := g.ParentRow(v)
+		if err := checkUseCount(uses, len(row)); err != nil {
 			return Result{}, err
 		}
-		for _, e := range parentBuf {
-			uses = append(uses, useEntry{pos: int32(pos), next: useHead[e.To]})
-			useHead[e.To] = int32(len(uses) - 1)
+		uses += len(row)
+		for _, p := range row {
+			next[p]++
+		}
+	}
+	usePos := make([]int32, uses)
+	end := int32(0)
+	for v := range next {
+		end += next[v] + 1
+		next[v] = end - 1
+		usePos[end-1] = never
+	}
+	// Fill back to front so each list comes out in increasing order and
+	// next[v] ends at the list's first entry.
+	for pos := len(schedule) - 1; pos >= 0; pos-- {
+		for _, p := range g.ParentRow(schedule[pos]) {
+			next[p]--
+			usePos[next[p]] = int32(pos)
 		}
 	}
 
-	st := make([]state, n)
-	for i := range st {
-		st[i].heapIdx = -1
-		st[i].nextUse = never
-		if useHead[i] >= 0 {
-			st[i].nextUse = uses[useHead[i]].pos
-		}
+	st := make([]uint8, n)
+	for i := uint32(0); i < nIn; i++ {
+		st[aIn+cdag.V(i)] = inSlow // inputs start valid in slow memory
+		st[bIn+cdag.V(i)] = inSlow
 	}
-	// Inputs start valid in slow memory.
-	for v := 0; v < n; v++ {
-		if g.IsInput(cdag.V(v)) {
-			st[v].inSlow = true
-		}
+	h := &evictHeap{e: make([]evictEntry, 0, min(s.M, n)+1), pos: make([]int32, n)}
+	for i := range h.pos {
+		h.pos[i] = -1
 	}
-
-	var less func(a, b cdag.V, stt []state) bool
-	switch s.P {
-	case MIN:
-		less = func(a, b cdag.V, stt []state) bool { return stt[a].nextUse > stt[b].nextUse }
-	case LRU:
-		less = func(a, b cdag.V, stt []state) bool { return stt[a].lastTouch < stt[b].lastTouch }
-	default: // FIFO
-		less = func(a, b cdag.V, stt []state) bool { return stt[a].lastTouch < stt[b].lastTouch }
-	}
-	h := &evictHeap{st: st, less: less}
+	// LRU and FIFO key an entry by its last touch, fixed when it is
+	// pinned or computed; MIN keys it by its next use, fixed once the
+	// computation that touched it has advanced the next-use pointers.
+	byNextUse := s.P == MIN
 
 	var res Result
 	var clock int64
 	cacheCount := 0
-	pinned := make([]cdag.V, 0, 16)
+	pinned := make([]evictEntry, 0, 16)
 
-	unpin := func(v cdag.V) {
-		if st[v].inCache && st[v].heapIdx < 0 {
-			heap.Push(h, v)
-		}
-	}
-	pin := func(v cdag.V) {
-		if st[v].heapIdx >= 0 {
-			heap.Remove(h, st[v].heapIdx)
-		}
-	}
 	evictOne := func() error {
-		if h.Len() == 0 {
+		if len(h.e) == 0 {
 			return fmt.Errorf("pebble: cache overcommitted: M = %d too small for a single computation", s.M)
 		}
-		victim := heap.Pop(h).(cdag.V)
-		st[victim].inCache = false
+		victim := h.pop()
+		st[victim] &^= inCache
 		cacheCount--
 		res.Evictions++
-		if !st[victim].inSlow && st[victim].nextUse != never {
+		if st[victim]&inSlow == 0 && usePos[next[victim]] != never {
 			// Value still needed later but no slow-memory copy: write it
 			// back (one I/O) so it can be reloaded.
 			res.Writes++
-			st[victim].inSlow = true
+			st[victim] |= inSlow
 		}
 		return nil
 	}
@@ -258,17 +320,17 @@ func (s *Simulator) Run(schedule []cdag.V) (Result, error) {
 		return nil
 	}
 	load := func(v cdag.V) error {
-		if st[v].inCache {
+		if st[v]&inCache != 0 {
 			return nil
 		}
-		if !st[v].inSlow {
+		if st[v]&inSlow == 0 {
 			return fmt.Errorf("pebble: schedule uses %s before it is computed", g.Label(v))
 		}
 		if err := ensureRoom(); err != nil {
 			return err
 		}
 		res.Reads++
-		st[v].inCache = true
+		st[v] |= inCache
 		cacheCount++
 		return nil
 	}
@@ -282,60 +344,57 @@ func (s *Simulator) Run(schedule []cdag.V) (Result, error) {
 	var segStartIO int64
 	computedInSeg := 0
 
-	computed := make([]bool, n)
 	for pos, v := range schedule {
-		if g.IsInput(v) {
+		if isInput(v) {
 			return res, fmt.Errorf("pebble: schedule contains input %s", g.Label(v))
 		}
-		if computed[v] {
+		if st[v]&computed != 0 {
 			return res, fmt.Errorf("pebble: schedule recomputes %s", g.Label(v))
 		}
-		parentBuf = g.AppendParents(v, parentBuf[:0])
+		parents := g.ParentRow(v)
 		// Pin parents so they cannot evict each other while assembling
 		// this computation.
 		pinned = pinned[:0]
-		for _, e := range parentBuf {
-			if !computed[e.To] && !g.IsInput(e.To) {
-				return res, fmt.Errorf("pebble: schedule computes %s before parent %s", g.Label(v), g.Label(e.To))
+		for _, p := range parents {
+			if st[p]&computed == 0 && !isInput(p) {
+				return res, fmt.Errorf("pebble: schedule computes %s before parent %s", g.Label(v), g.Label(p))
 			}
-			if err := load(e.To); err != nil {
+			if err := load(p); err != nil {
 				return res, err
 			}
-			pin(e.To)
+			if i := h.pos[p]; i >= 0 {
+				h.remove(int(i))
+			}
 			clock++
-			st[e.To].lastTouch = clock
-			pinned = append(pinned, e.To)
+			pinned = append(pinned, evictEntry{key: -clock, v: p})
 		}
 		// Advance parents' next-use pointers past this position.
-		for _, e := range parentBuf {
-			for useHead[e.To] >= 0 && uses[useHead[e.To]].pos <= int32(pos) {
-				useHead[e.To] = uses[useHead[e.To]].next
-			}
-			if useHead[e.To] >= 0 {
-				st[e.To].nextUse = uses[useHead[e.To]].pos
-			} else {
-				st[e.To].nextUse = never
+		for _, p := range parents {
+			for usePos[next[p]] <= int32(pos) {
+				next[p]++
 			}
 		}
 		// Make room for the result.
 		if err := ensureRoom(); err != nil {
 			return res, err
 		}
-		// Unpin parents (re-entering the evict heap with updated keys).
-		for _, p := range pinned {
-			unpin(p)
+		// Unpin parents: they re-enter the heap with their updated keys.
+		for _, e := range pinned {
+			if byNextUse {
+				e.key = int64(usePos[next[e.v]])
+			}
+			h.push(e)
 		}
-		computed[v] = true
-		st[v].inCache = true
+		st[v] |= computed | inCache
 		clock++
-		st[v].lastTouch = clock
 		cacheCount++
 		res.Computed++
-		if g.IsOutput(v) {
+		output := v >= outLo
+		if output {
 			// Outputs must end up in slow memory; write eagerly (the
 			// optimal offline choice writes each output exactly once).
 			res.Writes++
-			st[v].inSlow = true
+			st[v] |= inSlow
 		}
 		if segLen > 0 {
 			if computedInSeg++; computedInSeg >= segLen {
@@ -344,19 +403,23 @@ func (s *Simulator) Run(schedule []cdag.V) (Result, error) {
 				computedInSeg = 0
 			}
 		}
-		if st[v].nextUse == never && !g.IsOutput(v) {
+		if usePos[next[v]] == never && !output {
 			// Useless vertex (cannot happen in G_r, but keep the cache
 			// tidy if it does): drop immediately.
-			st[v].inCache = false
+			st[v] &^= inCache
 			cacheCount--
 			continue
 		}
-		heap.Push(h, v)
+		e := evictEntry{key: -clock, v: v}
+		if byNextUse {
+			e.key = int64(usePos[next[v]])
+		}
+		h.push(e)
 	}
 	// Completion check: every output computed (and therefore written).
-	for v := 0; v < n; v++ {
-		if g.IsOutput(cdag.V(v)) && !computed[v] {
-			return res, fmt.Errorf("pebble: schedule never computes output %s", g.Label(cdag.V(v)))
+	for v := outLo; int(v) < n; v++ {
+		if st[v]&computed == 0 {
+			return res, fmt.Errorf("pebble: schedule never computes output %s", g.Label(v))
 		}
 	}
 	if in := s.Obs; in != nil {

@@ -125,6 +125,12 @@ func TestRunRejectsBadSchedules(t *testing.T) {
 	if _, err := sim.Run(good[:len(good)-1]); err == nil {
 		t.Error("missing output accepted")
 	}
+	// Vertices outside the graph are errors, not panics.
+	for _, v := range []cdag.V{cdag.V(g.NumVertices()), -1} {
+		if _, err := sim.Run(append(append([]cdag.V{}, good...), v)); err == nil {
+			t.Errorf("vertex %d outside the graph accepted", v)
+		}
+	}
 }
 
 func TestResultAccounting(t *testing.T) {
@@ -458,5 +464,28 @@ func TestScheduleLengthGuard(t *testing.T) {
 	g := mustGraph(t, bilinear.Strassen(), 3)
 	if _, err := (&Simulator{G: g, M: 32, P: MIN}).Run(schedule.RecursiveDFS(g)); err != nil {
 		t.Errorf("guard broke a valid run: %v", err)
+	}
+}
+
+// TestRunAllocationsFlat pins the simulator's allocations to a fixed
+// set of dense tables: with the CSR index prebuilt, a run allocates as
+// often on Strassen G_4 (15,271 scheduled vertices) as on G_3 (2,017),
+// under every policy.
+func TestRunAllocationsFlat(t *testing.T) {
+	allocs := func(r int, p Policy) float64 {
+		g := mustGraph(t, bilinear.Strassen(), r)
+		sched := schedule.RecursiveDFS(g)
+		g.EnsureAdjacencyIndex()
+		sim := &Simulator{G: g, M: 48, P: p}
+		return testing.AllocsPerRun(10, func() {
+			if _, err := sim.Run(sched); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, p := range []Policy{MIN, LRU, FIFO} {
+		if a3, a4 := allocs(3, p), allocs(4, p); a3 != a4 {
+			t.Errorf("%v: Run allocates %v times at r=3 and %v at r=4", p, a3, a4)
+		}
 	}
 }

@@ -74,25 +74,27 @@ func AnalyzeStackDistances(g *cdag.Graph, sched []cdag.V) (*MissCurve, error) {
 	n := g.NumVertices()
 	// lastTime[v] = BIT position of v's most recent access, or 0.
 	lastTime := make([]int64, n)
-	// Total accesses bound: schedule length × (max fan-in + 1).
+	// Total accesses: one per parent plus one per scheduled vertex.
 	var total int64
-	var buf []cdag.Edge
 	for _, v := range sched {
-		buf = g.AppendParents(v, buf[:0])
-		total += int64(len(buf)) + 1
+		total += int64(len(g.ParentRow(v))) + 1
 	}
 	bit := newBIT(int(total) + 2)
 	mc := &MissCurve{distHist: make([]int64, 2)}
 
+	// Every value accessed so far has exactly one marked position, its
+	// latest access, so the marked total is the distinct-value count.
 	clock := int64(0)
+	var marked int64
 	access := func(v cdag.V) error {
 		clock++
 		if lastTime[v] == 0 {
 			mc.Compulsory++
+			marked++
 		} else {
 			// Distinct values touched since last access of v = number
 			// of marked positions after lastTime[v].
-			d := int(bit.sumFrom(int(lastTime[v]) + 1))
+			d := int(marked - bit.prefix(int(lastTime[v])))
 			d++ // v itself re-enters at the top
 			for d >= len(mc.distHist) {
 				mc.distHist = append(mc.distHist, 0)
@@ -111,9 +113,8 @@ func AnalyzeStackDistances(g *cdag.Graph, sched []cdag.V) (*MissCurve, error) {
 		if computed[v] {
 			return nil, fmt.Errorf("pebble: stack distance trace recomputes %s", g.Label(v))
 		}
-		buf = g.AppendParents(v, buf[:0])
-		for _, e := range buf {
-			if err := access(e.To); err != nil {
+		for _, p := range g.ParentRow(v) {
+			if err := access(p); err != nil {
 				return nil, err
 			}
 		}
@@ -146,9 +147,4 @@ func (b *bitTree) prefix(i int) int64 {
 		s += b.tree[i]
 	}
 	return s
-}
-
-// sumFrom returns the sum of positions i..n.
-func (b *bitTree) sumFrom(i int) int64 {
-	return b.prefix(b.n) - b.prefix(i-1)
 }

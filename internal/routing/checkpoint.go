@@ -227,6 +227,9 @@ func (r *Router) checkpointCompat(c *Checkpoint, plan shardPlan) error {
 // wrongly, or a file rewritten with a fresh checksum. Every pair path
 // of G_k has 6k+4 vertices, so the done rows fix NumPaths, NumPaths
 // fixes TotalHits, and the per-vertex Hits must add up to TotalHits.
+// The done rows also fix AdjChecked: every kernel checks path
+// idx = row·aᵏ + out edge by edge exactly when idx is a multiple of the
+// adjacency stride.
 func (c *Checkpoint) checkTallies(r *Router, plan shardPlan) error {
 	rows := c.doneRows(plan)
 	pathLen := int64(6*r.k + 4)
@@ -237,6 +240,10 @@ func (c *Checkpoint) checkTallies(r *Router, plan shardPlan) error {
 	case c.TotalHits != c.NumPaths*pathLen:
 		return fmt.Errorf("%w: %d total hits recorded, but %d paths of %d vertices make %d",
 			ErrCheckpointInvalid, c.TotalHits, c.NumPaths, pathLen, c.NumPaths*pathLen)
+	}
+	if want := c.adjSamples(plan, r.powA[r.k]); c.AdjChecked != want {
+		return fmt.Errorf("%w: %d adjacency-checked paths recorded, but the done rows sample %d at stride %d",
+			ErrCheckpointInvalid, c.AdjChecked, want, c.AdjStride)
 	}
 	var sum int64
 	for _, h := range c.Hits {
@@ -263,6 +270,27 @@ func (c *Checkpoint) doneRows(plan shardPlan) int64 {
 		}
 	}
 	return rows
+}
+
+// adjSamples is the number of paths the done shards check edge by
+// edge: the multiples of the adjacency stride among the path indices
+// [lo·aᵏ, hi·aᵏ) of each done shard's rows [lo, hi).
+func (c *Checkpoint) adjSamples(plan shardPlan, aK int64) int64 {
+	below := func(x int64) int64 { // multiples of the stride in [0, x)
+		if x == 0 {
+			return 0
+		}
+		return (x-1)/c.AdjStride + 1
+	}
+	var n int64
+	for s, done := range c.Done {
+		if done {
+			lo := int64(s) * plan.shardRows
+			hi := min(lo+plan.shardRows, plan.rows)
+			n += below(hi*aK) - below(lo*aK)
+		}
+	}
+	return n
 }
 
 // mergeShard folds one completed shard's accumulator into the

@@ -131,6 +131,10 @@ func TestCheckpointResumeRejectsTamperedTallies(t *testing.T) {
 		{"paths", func(c *Checkpoint) { c.NumPaths += 64 }},
 		{"total hits", func(c *Checkpoint) { c.TotalHits-- }},
 		{"one vertex lowered", func(c *Checkpoint) { c.Hits[busiest(c)]-- }},
+		// ΣHits still equals TotalHits: only the paths × (6k+4) rule
+		// can catch this one.
+		{"one vertex and the total raised", func(c *Checkpoint) { c.Hits[busiest(c)]++; c.TotalHits++ }},
+		{"adjacency checks", func(c *Checkpoint) { c.AdjChecked++ }},
 		{"extra done shard", func(c *Checkpoint) { c.Done[len(c.Done)-1], c.DoneCount = true, c.DoneCount+1 }},
 		{"lost done shard", func(c *Checkpoint) { c.Done[0], c.DoneCount = false, c.DoneCount-1 }},
 		{"algorithm hash", func(c *Checkpoint) { c.algHash[0] ^= 1 }},
@@ -265,4 +269,41 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			roundTrip(withTrailer(data[:len(data)-sha256.Size]))
 		}
 	})
+}
+
+// TestCheckpointAdjCheckedMatchesStride: the AdjChecked every kernel
+// records is the count checkTallies derives from the done rows, for
+// strides that do and do not divide aᵏ and a ragged last shard, so a
+// paused run at any of them resumes.
+func TestCheckpointAdjCheckedMatchesStride(t *testing.T) {
+	for _, kernel := range []struct {
+		name                 string
+		seed, orbits, stage1 bool
+	}{{name: "full"}, {name: "seed", seed: true}, {name: "stage1", orbits: true, stage1: true}, {name: "stage2", orbits: true}} {
+		for _, stride := range []int64{1, 5, 64, 257, 5000} {
+			r := mustRouter(t, bilinear.Strassen(), 3) // 128 rows, aᵏ = 64
+			r.SeedEnumeration, r.OrbitReduction, r.OrbitStage1 = kernel.seed, kernel.orbits, kernel.stage1
+			r.AdjacencySampleStride = stride
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			cfg := CheckpointConfig{Path: path, ShardRows: 24, MaxShards: 3} // 6 shards, the last of 8 rows
+			if _, err := r.VerifyFullRoutingCheckpointed(2, cfg); !errors.Is(err, ErrPaused) {
+				t.Fatalf("%s stride %d: expected ErrPaused, got %v", kernel.name, stride, err)
+			}
+			c, err := LoadCheckpoint(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := c.adjSamples(r.shardPlan(24), 64); c.AdjChecked != want {
+				t.Errorf("%s stride %d: scan recorded %d adjacency checks, done rows sample %d", kernel.name, stride, c.AdjChecked, want)
+			}
+			cfg.MaxShards, cfg.Resume = 0, true
+			st, err := r.VerifyFullRoutingCheckpointed(2, cfg)
+			if err != nil {
+				t.Fatalf("%s stride %d: resume: %v", kernel.name, stride, err)
+			}
+			if want := (128*64-1)/stride + 1; st.AdjacencyChecked != want {
+				t.Errorf("%s stride %d: %d adjacency checks in all, want %d", kernel.name, stride, st.AdjacencyChecked, want)
+			}
+		}
+	}
 }

@@ -109,9 +109,10 @@ type Job struct {
 // ResourcesDoc is the per-job cost block clients see in the JobDoc:
 // what this job actually consumed, accumulated across every
 // crash/resume leg (a resumed job's totals grow, never reset). CPU
-// and allocation are process-wide deltas over the job's running legs —
-// exact at Concurrency 1 (the default), an upper bound when jobs
-// share the process.
+// and allocation are process-wide deltas over the job's running legs,
+// so they include whatever else the process did meanwhile: the HTTP
+// handlers, the resource sampler, and other jobs when Concurrency > 1.
+// They bound the job's own cost from above.
 type ResourcesDoc struct {
 	QueuedAt   string `json:"queued_at,omitempty"`   // RFC 3339, UTC
 	StartedAt  string `json:"started_at,omitempty"`  // first leg start
@@ -155,6 +156,19 @@ func (j *Job) beginLeg(snap obs.ResourceSnapshot) {
 	j.legStart = snap.Time
 	j.legCPU0 = snap.CPUSeconds
 	j.legAlloc0 = snap.AllocBytes
+}
+
+// legSnapshot reads the resources a leg is charged for. Allocation
+// comes from runtime.ReadMemStats, which flushes the per-P allocation
+// caches before it totals them. The runtime/metrics counter behind
+// obs.ReadResources moves only when such a cache hands back a span, so
+// a job of a millisecond or two often read as allocating nothing.
+func legSnapshot() obs.ResourceSnapshot {
+	snap := obs.ReadResources()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	snap.AllocBytes = int64(ms.TotalAlloc)
+	return snap
 }
 
 // accountLeg folds the current leg's cost so far onto the leg-start
@@ -733,7 +747,7 @@ func (s *Server) runJob(j *Job) {
 	j.events.publish(eventStarted, j.Snapshot())
 	stopHeartbeat := s.startJobHeartbeat(j, base)
 
-	j.beginLeg(obs.ReadResources())
+	j.beginLeg(legSnapshot())
 	start := time.Now()
 	ckpt := filepath.Join(j.dir, "run.ckpt")
 	cfg := routing.JobConfig{
@@ -753,7 +767,7 @@ func (s *Server) runJob(j *Job) {
 			// persist it before the external failpoint can fire: a crash
 			// loses at most one shard of accounting, mirroring the
 			// checkpoint's durability guarantee.
-			j.accountLeg(obs.ReadResources())
+			j.accountLeg(legSnapshot())
 			if err := s.persistSpec(j); err != nil {
 				fmt.Fprintf(os.Stderr, "serve: persist %s: %v\n", j.id, err)
 			}
@@ -784,7 +798,7 @@ func (s *Server) runJob(j *Job) {
 	s.met.running.SetInt(s.running.Add(-1))
 	stopHeartbeat()
 	elapsed := time.Since(start)
-	cur := j.accountLeg(obs.ReadResources())
+	cur := j.accountLeg(legSnapshot())
 
 	finalRec := base
 	finalRec.Event = runlog.EventFinal
@@ -825,11 +839,13 @@ func (s *Server) runJob(j *Job) {
 			fmt.Fprintf(os.Stderr, "serve: cache spill: %v\n", err)
 		}
 		s.releaseInflight(j)
+		// Count the job before it reads done, so a client that has seen
+		// it done also sees it counted.
+		s.met.completed.Inc()
 		j.mu.Lock()
 		j.state, j.stats, j.cert = StateDone, &doc, cert
 		j.mu.Unlock()
 		s.finishJob(j)
-		s.met.completed.Inc()
 		j.events.publish(eventFinal, j.Snapshot())
 	case errors.Is(err, routing.ErrPaused):
 		// Drained by Shutdown: back to queued. The checkpoint holds
@@ -855,13 +871,13 @@ func (s *Server) runJob(j *Job) {
 		s.met.queueWait.With("failed").Observe(cur.QueueWaitSeconds)
 		s.met.cpuSeconds.With("failed").Observe(cur.CPUSeconds)
 		finalRec.Resources = cur.runlog()
+		s.met.failed.Inc()
 		j.mu.Lock()
 		j.state, j.errMsg = StateFailed, err.Error()
 		j.mu.Unlock()
 		finalRec.Error = err.Error()
 		s.journalEmit(finalRec)
 		s.finishJob(j)
-		s.met.failed.Inc()
 		j.events.publish(eventFinal, j.Snapshot())
 	}
 }
