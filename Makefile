@@ -9,7 +9,7 @@ ROUTED_DIR ?= .routed-smoke
 
 # Routing benchmarks: the adjacency-index and parallel-verification
 # suites plus the A9 enumeration-kernel ablation, the A10 orbit
-# reduction, and the A11 stage-1/stage-2 orbit kernel comparison;
+# reduction, and the A11 stage-1/default orbit kernel comparison;
 # -benchmem adds the B/op and allocs/op columns the kernel work is
 # judged by.
 BENCH_PATTERN = BenchmarkVerifyFullRoutingAdjacency|BenchmarkA7ParallelVerification|BenchmarkA9EnumerationKernel|BenchmarkA10OrbitReduction|BenchmarkA11StageTwoKernel
@@ -104,9 +104,11 @@ fuzz-smoke:
 # count, and require the final stats line and the per-rank hit
 # histogram table (built from the checkpoint's merged hit vector) to be
 # byte-identical to an uninterrupted run; the paused run must print no
-# table. Exit code 3 is the verifier's "paused, rerun with -resume"
-# signal. Single shell + trap so the scratch dir is removed even when a
-# step fails.
+# table. Two more legs mix kernels across the pause: one pauses an
+# -orbits run and resumes it with full enumeration, the other the
+# reverse, and both must match the same uninterrupted run. Exit code 3
+# is the verifier's "paused, rerun with -resume" signal. Single shell +
+# trap so the scratch dir is removed even when a step fails.
 verify-resume:
 	@set -e; trap 'rm -rf $(RESUME_DIR)' EXIT; \
 	rm -rf $(RESUME_DIR); mkdir -p $(RESUME_DIR); \
@@ -127,8 +129,19 @@ verify-resume:
 	grep -E '^(rank|[0-9]+) ' $(RESUME_DIR)/fresh.out > $(RESUME_DIR)/fresh.hist; \
 	[ -s $(RESUME_DIR)/fresh.hist ] || { echo "uninterrupted run printed no histogram"; exit 1; }; \
 	cmp $(RESUME_DIR)/resumed.hist $(RESUME_DIR)/fresh.hist; \
+	for leg in orbits-then-full full-then-orbits; do \
+		first=""; second=""; \
+		if [ $$leg = orbits-then-full ]; then first=-orbits; else second=-orbits; fi; \
+		st=0; $(RESUME_DIR)/routecheck -alg strassen -k 4 -workers 3 -shardrows 64 -maxshards 3 $$first \
+			-checkpoint $(RESUME_DIR)/$$leg.ckpt > $(RESUME_DIR)/$$leg-paused.out || st=$$?; \
+		if [ $$st -ne 3 ]; then echo "$$leg: expected pause exit 3, got $$st"; exit 1; fi; \
+		$(RESUME_DIR)/routecheck -alg strassen -k 4 -workers 5 $$second \
+			-checkpoint $(RESUME_DIR)/$$leg.ckpt -resume > $(RESUME_DIR)/$$leg.out; \
+		grep '^stats:' $(RESUME_DIR)/$$leg.out | cmp - $(RESUME_DIR)/fresh.stats; \
+		grep -E '^(rank|[0-9]+) ' $(RESUME_DIR)/$$leg.out | cmp - $(RESUME_DIR)/fresh.hist; \
+	done; \
 	$(RESUME_DIR)/routecheck -summarize $(RESUME_DIR)/runs.jsonl; \
-	echo "verify-resume: PASS — resumed stats and hit histogram byte-identical to an uninterrupted run"
+	echo "verify-resume: PASS — resumed stats and hit histogram byte-identical to an uninterrupted run, also across -orbits and full enumeration"
 
 # Observability acceptance check: run a real verification with the
 # debug server on an ephemeral port, scrape /metrics and /healthz, and

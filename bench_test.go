@@ -612,11 +612,13 @@ func BenchmarkVerifyFullRoutingAdjacency(b *testing.B) {
 }
 
 // BenchmarkA10OrbitReduction measures the orbit-reduced full-routing
-// scan against full enumeration at Strassen k=4 (the ISSUE 6 headline
-// case): same bit-identical Stats, but the per-path work drops from
-// three chain constructions plus a quadratic meta-root dedup scan to
-// one chain construction plus a stamped linear walk. Run via
-// `make bench`; EXPERIMENTS.md A10 holds the measured table.
+// scan against full enumeration at Strassen k=4: same bit-identical
+// Stats, but instead of three chain constructions plus a quadratic
+// meta-root dedup scan per path, the default orbit kernel credits each
+// shared chain once per orbit and each junction's fan once per row
+// range. Run via `make bench`; EXPERIMENTS.md A10 holds the table
+// measured with the original (stage-1) orbit kernel, A15 the current
+// one.
 func BenchmarkA10OrbitReduction(b *testing.B) {
 	g, err := cdag.New(bilinear.Strassen(), 4)
 	if err != nil {
@@ -652,16 +654,18 @@ func BenchmarkA10OrbitReduction(b *testing.B) {
 	}
 }
 
-// BenchmarkA11StageTwoKernel compares the two orbit kernels at
-// Strassen k=4 (ISSUE 10): stage 1 rebuilds both shared chains per
-// orbit through the division-heavy AppendChain and synthesizes chain 3
-// per member; stage 2 maintains the shared chains incrementally across
-// the fixed-digit odometer (digit-local updates, no divisions) and
-// accumulates chain-3 vertices over whole member blocks with the
-// hitVec addBlock/bumpStride helpers. Stats are bit-identical
-// (TestOrbitStatsBitIdentical is the gate); this measures the
-// throughput gap. Run via `make bench`; EXPERIMENTS.md A11 holds the
-// measured table.
+// BenchmarkA11StageTwoKernel compares the orbit kernels at Strassen
+// k=4: stage 1 rebuilds both shared chains per orbit through the
+// division-heavy AppendChain and synthesizes chain 3 per member; the
+// default kernel (internal/routing/fan.go) maintains the shared chains
+// incrementally across the fixed-digit odometer and credits each
+// junction's fan of chain-3 chains once per row range. The leg named
+// kernel=stage2 now measures that default kernel: the stage-2 kernel
+// it was named for is gone, and the name stays so `make bench-diff`
+// still overlaps BENCH_routing.json until ROADMAP item 2 re-records
+// it. Stats are bit-identical (TestOrbitStatsBitIdentical is the gate);
+// this measures the throughput gap. Run via `make bench`;
+// EXPERIMENTS.md A11 and A15 hold the measured tables.
 func BenchmarkA11StageTwoKernel(b *testing.B) {
 	g, err := cdag.New(bilinear.Strassen(), 4)
 	if err != nil {

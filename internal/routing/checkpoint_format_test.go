@@ -240,11 +240,15 @@ func TestCheckpointSaveConstantAllocs(t *testing.T) {
 // checksum rejects nearly every mutation, so each input is also
 // decoded with its trailer recomputed: that puts the fuzzer's bytes in
 // front of the parser behind the checksum.
+//
+// The seeds are Strassen k=1 files (8 rows, a few hundred bytes), one
+// complete and one paused per shard geometry: the fuzzer mutates and
+// minimizes small inputs quickly, where multi-kilobyte k=3 seeds held
+// it near 0 execs/s for seconds at a time.
 func FuzzLoadCheckpoint(f *testing.F) {
-	for k := 1; k <= 3; k++ {
-		shardRows := int64(1) << k // 4, 8 and 16 shards
-		f.Add(checkpointImage(f, k, shardRows, 0))
-		f.Add(checkpointImage(f, k, shardRows, 2))
+	for _, shardRows := range []int64{1, 2, 4} { // 8, 4 and 2 shards
+		f.Add(checkpointImage(f, 1, shardRows, 0))
+		f.Add(checkpointImage(f, 1, shardRows, 8/shardRows-1))
 	}
 	v1, err := os.ReadFile(filepath.Join("testdata", "v1-strassen-k2.ckpt"))
 	if err != nil {
@@ -279,7 +283,7 @@ func TestCheckpointAdjCheckedMatchesStride(t *testing.T) {
 	for _, kernel := range []struct {
 		name                 string
 		seed, orbits, stage1 bool
-	}{{name: "full"}, {name: "seed", seed: true}, {name: "stage1", orbits: true, stage1: true}, {name: "stage2", orbits: true}} {
+	}{{name: "full"}, {name: "seed", seed: true}, {name: "stage1", orbits: true, stage1: true}, {name: "fan", orbits: true}} {
 		for _, stride := range []int64{1, 5, 64, 257, 5000} {
 			r := mustRouter(t, bilinear.Strassen(), 3) // 128 rows, aᵏ = 64
 			r.SeedEnumeration, r.OrbitReduction, r.OrbitStage1 = kernel.seed, kernel.orbits, kernel.stage1

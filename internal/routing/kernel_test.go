@@ -10,6 +10,7 @@ package routing
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pathrouting/internal/bilinear"
@@ -204,6 +205,96 @@ func TestChainUsageDenseCounters(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestChainUsageMatchesPairPaths recounts Lemma 4's chain usage the
+// slow way — cut every pair path into its three chains and identify
+// each by its input and output vertex — and requires chainUsage's
+// index formulas to produce the same counters.
+func TestChainUsageMatchesPairPaths(t *testing.T) {
+	for _, c := range kernelCatalog() {
+		for k := 1; k <= c.maxK; k++ {
+			r := mustRouter(t, c.alg, k)
+			g := r.G
+			n0, n0K := int64(r.n0), r.powN[k]
+			wantA := make([]int64, r.powA[k]*n0K)
+			wantB := make([]int64, r.powA[k]*n0K)
+			// count records one use of the side's chain from input
+			// vertex in to output vertex out: an A-chain keeps the
+			// input's row digits and frees the output's columns, a
+			// B-chain the reverse.
+			count := func(side bilinear.Side, in, out cdag.V) {
+				kind, use := cdag.EncA, wantA
+				if side == bilinear.SideB {
+					kind, use = cdag.EncB, wantB
+				}
+				inIdx := int64(in - g.LayerBase(kind, 0))
+				outIdx := int64(out - g.LayerBase(cdag.Dec, k))
+				var free int64
+				for l := 0; l < k; l++ {
+					o := outIdx / r.powA[k-1-l] % r.a
+					d := o % n0
+					if side == bilinear.SideB {
+						d = o / n0
+					}
+					free = free*n0 + d
+				}
+				use[inIdx*n0K+free]++
+			}
+			// A path is chain 1, chain 2 reversed without its output
+			// (ending at the junction), and chain 3 without the junction.
+			chainLen := 2*k + 2
+			r.ForEachPairPath(func(side bilinear.Side, _, _ int64, path []cdag.V) {
+				other := bilinear.SideB
+				if side == bilinear.SideB {
+					other = bilinear.SideA
+				}
+				mid, junction := path[chainLen-1], path[2*chainLen-2]
+				count(side, path[0], mid)
+				count(other, junction, mid)
+				count(other, junction, path[len(path)-1])
+			})
+			gotA, gotB := r.chainUsage()
+			for _, u := range []struct {
+				name      string
+				got, want []int64
+			}{{"A", gotA, wantA}, {"B", gotB, wantB}} {
+				if err := diffHits(u.got, u.want); err != nil {
+					t.Fatalf("%s k=%d %s-chain usage: %v", c.alg.Name, k, u.name, err)
+				}
+			}
+		}
+	}
+}
+
+// TestCheckChainUsageNamesTheChain is the negative control: one
+// counter off by one, on either side, fails with that chain named.
+func TestCheckChainUsageNamesTheChain(t *testing.T) {
+	r := mustRouter(t, bilinear.Strassen(), 2)
+	useA, useB := r.chainUsage()
+	if err := r.checkChainUsage(useA, useB); err != nil {
+		t.Fatal(err)
+	}
+	n0K := r.powN[r.k]
+	for _, c := range []struct {
+		side     bilinear.Side
+		use      []int64
+		in, free int64
+		delta    int64
+	}{
+		{bilinear.SideA, useA, 9, 3, 1},
+		{bilinear.SideB, useB, 5, 2, -1},
+	} {
+		c.use[c.in*n0K+c.free] += c.delta
+		err := r.checkChainUsage(useA, useB)
+		c.use[c.in*n0K+c.free] -= c.delta
+		want := fmt.Sprintf("%v-chain (%d→%d) used %d times", c.side, c.in,
+			r.chainOut(c.side, c.in, c.free), 3*n0K+c.delta)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("counter (%v, %d, %d) off by %d: got %v, want an error naming %q",
+				c.side, c.in, c.free, c.delta, err, want)
 		}
 	}
 }

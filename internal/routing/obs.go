@@ -41,7 +41,7 @@ type Instruments struct {
 	// scan (zero for full enumeration). A complete orbit-reduced run over
 	// G_k collapses 2aᵏn₀ᵏ orbits of n₀ᵏ paths each.
 	OrbitGroups *obs.Counter
-	// OrbitFamilies counts the shared-chain families the stage-2 orbit
+	// OrbitFamilies counts the shared-chain families the default orbit
 	// kernel aggregates over — one per (side, input) row, each covering
 	// the row's n₀ᵏ orbits through incremental chain maintenance (zero
 	// for full enumeration and for the stage-1 orbit kernel). The
@@ -86,7 +86,7 @@ func NewInstruments(reg *obs.Registry) *Instruments {
 		OrbitGroups: reg.Counter("routing_orbit_groups_total",
 			"pair-path orbits collapsed by the orbit-reduced scan"),
 		OrbitFamilies: reg.Counter("routing_orbit_families_total",
-			"shared-chain families aggregated by the stage-2 orbit kernel"),
+			"shared-chain families aggregated by the default orbit kernel"),
 		CheckpointFsync: reg.Histogram("routing_checkpoint_fsync_seconds",
 			"checkpoint encode+write+fsync latency", obs.LatencyBuckets),
 	}

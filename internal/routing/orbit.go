@@ -88,16 +88,21 @@ func (r *Router) scanRowsOrbit(w, workers int, rowLo, rowHi int64, earliestErr *
 	total := (rowHi - rowLo) * aK
 	observing := r.Progress != nil || r.Obs != nil
 	nextEmit := int64(progressChunk)
-	var lastEmit time.Time
+	var lastEmit, lastPeak time.Time
 	var flushedPaths, flushedAdj int64
 	var orbits, flushedOrbits int64
 	emit := func(final bool) {
-		// The running peak is recomputed from the accumulator here, at
-		// snapshot cadence, instead of being tracked per bump on the hot
-		// path: hit counts only grow, so the scan's maximum at emit time
-		// is exact, and nothing outside Progress/metrics reads out.peak
-		// (the final Stats maximum comes from the merged vectors).
-		out.peak = out.hits.max()
+		// The running peak is recomputed from the accumulator instead of
+		// being tracked per bump on the hot path: hit counts only grow,
+		// so the scan's maximum at recompute time is exact, and nothing
+		// outside Progress/metrics reads out.peak (the final Stats
+		// maximum comes from the merged vectors). A recompute is a pass
+		// over every vertex, so it runs on the first and final snapshots
+		// and at most once per time floor, not on every chunk.
+		if final || lastPeak.IsZero() || time.Since(lastPeak) >= progressTimeFloor {
+			out.peak = out.hits.max()
+			lastPeak = time.Now()
+		}
 		r.Obs.flushScan(out.numPaths-flushedPaths, out.adjChecked-flushedAdj, out.peak)
 		r.Obs.flushOrbit(orbits-flushedOrbits, 0)
 		flushedPaths, flushedAdj, flushedOrbits = out.numPaths, out.adjChecked, orbits

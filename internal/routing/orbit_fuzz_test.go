@@ -4,12 +4,13 @@ package routing
 // suite: where TestOrbitStatsBitIdentical sweeps the fixed catalog,
 // this draws algorithms from the symmetry orbit of Strassen's (fresh
 // coefficient structure and copying patterns every seed) and asserts
-// that full enumeration, the stage-1 orbit kernel, and the stage-2
-// orbit kernel produce bit-identical Stats — and per-vertex hit
-// vectors equal to a ForEachPairPath count — across depths, worker
-// counts, and adjacency sample strides. Under plain `go test` only the
-// seed corpus runs; `go test -fuzz=FuzzOrbitStatsEquivalence` explores
-// further.
+// that full enumeration, the stage-1 orbit kernel, and the fan orbit
+// kernel produce bit-identical Stats — and per-vertex hit vectors
+// equal to a ForEachPairPath count — across depths, worker counts, and
+// adjacency sample strides, and that on one random row range the fan
+// kernel's accumulators equal scanRows's. Under plain `go test` only
+// the seed corpus runs; `go test -fuzz=FuzzOrbitStatsEquivalence`
+// explores further.
 
 import (
 	"math/rand"
@@ -75,6 +76,11 @@ func FuzzOrbitStatsEquivalence(f *testing.F) {
 			if err := diffHits(hits, wantHits); err != nil {
 				t.Fatalf("%s workers=%d hits (k=%d stride=%d): %v", stage.name, workers, k, stride, err)
 			}
+		}
+		rows := r.numRows()
+		lo := rng.Int63n(rows)
+		if err := scanRangeDiff(r, lo, lo+1+rng.Int63n(rows-lo)); err != nil {
+			t.Fatalf("fan range (k=%d stride=%d): %v", k, stride, err)
 		}
 	})
 }

@@ -19,7 +19,7 @@ import (
 )
 
 // orbitRouter clones r's configuration into a router with orbit
-// reduction enabled (stage-2 kernel by default, stage 1 when stage1 is
+// reduction enabled (the fan kernel by default, stage 1 when stage1 is
 // set), sharing the graph and matching.
 func orbitRouter(t *testing.T, r *Router, stage1 bool) *Router {
 	t.Helper()
@@ -43,7 +43,7 @@ func orbitStages() []struct {
 		stage1 bool
 	}{
 		{"stage1", true},
-		{"stage2", false},
+		{"fan", false},
 	}
 }
 
@@ -97,9 +97,9 @@ func TestOrbitStatsBitIdentical(t *testing.T) {
 
 // TestOrbitCheckpointInterop pins shard-level equivalence: because the
 // orbit kernels produce bit-identical per-shard contributions, a run
-// paused in any of the three modes (full, stage-1 orbit, stage-2
-// orbit) must resume cleanly under any other and still match an
-// uninterrupted run.
+// paused in any of the three modes (full, stage-1 orbit, fan orbit)
+// must resume cleanly under any other and still match an uninterrupted
+// run.
 func TestOrbitCheckpointInterop(t *testing.T) {
 	r := mustRouter(t, bilinear.Strassen(), 3) // 128 rows
 	want, err := r.VerifyFullRouting()
@@ -108,16 +108,16 @@ func TestOrbitCheckpointInterop(t *testing.T) {
 	}
 	want.Elapsed = 0
 	ro1 := orbitRouter(t, r, true)
-	ro2 := orbitRouter(t, r, false)
+	roFan := orbitRouter(t, r, false)
 	for _, legs := range []struct {
 		name          string
 		first, second *Router
 	}{
-		{"full-then-stage2", r, ro2},
-		{"stage2-then-full", ro2, r},
+		{"full-then-fan", r, roFan},
+		{"fan-then-full", roFan, r},
 		{"full-then-stage1", r, ro1},
-		{"stage1-then-stage2", ro1, ro2},
-		{"stage2-then-stage1", ro2, ro1},
+		{"stage1-then-fan", ro1, roFan},
+		{"fan-then-stage1", roFan, ro1},
 	} {
 		path := filepath.Join(t.TempDir(), "interop.ckpt")
 		_, err := legs.first.VerifyFullRoutingCheckpointed(2, CheckpointConfig{
@@ -185,7 +185,7 @@ func TestOrbitScanConstantAllocs(t *testing.T) {
 		scan func(w, workers int, rowLo, rowHi int64, earliestErr *atomic.Int64, out *workerState)
 	}{
 		{"stage1", r.scanRowsOrbit},
-		{"stage2", r.scanRowsOrbit2},
+		{"fan", r.scanRowsFan},
 	}
 	for _, kern := range kernels {
 		t.Run(kern.name, func(t *testing.T) {
@@ -209,7 +209,7 @@ func TestOrbitScanConstantAllocs(t *testing.T) {
 }
 
 // TestOrbitGroupsMetric checks the orbit-group and shared-chain-family
-// counters: an orbit run over G_k collapses 2aᵏn₀ᵏ orbits; the stage-2
+// counters: an orbit run over G_k collapses 2aᵏn₀ᵏ orbits; the default
 // kernel additionally aggregates them into 2aᵏ families (one per
 // (side, input) row), while stage 1 and full enumeration report no
 // families.

@@ -302,7 +302,7 @@ func (r *Router) scanRange(w, workers int, rowLo, rowHi int64, earliestErr *atom
 			if r.OrbitStage1 {
 				r.scanRowsOrbit(w, workers, rowLo, rowHi, earliestErr, out)
 			} else {
-				r.scanRowsOrbit2(w, workers, rowLo, rowHi, earliestErr, out)
+				r.scanRowsFan(w, workers, rowLo, rowHi, earliestErr, out)
 			}
 		} else {
 			r.scanRows(w, workers, rowLo, rowHi, earliestErr, out)

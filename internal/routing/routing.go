@@ -192,23 +192,23 @@ type Router struct {
 	// OrbitReduction makes the full-routing verifiers collapse each
 	// pair-path orbit — the n₀ᵏ paths sharing a (side, input) row and the
 	// fixed output coordinate, on which two of the three Lemma 4 chains
-	// are pointwise constant — into one weighted accumulation of the
-	// shared chains plus a per-path scan of the varying chain only. The
-	// resulting Stats are bit-identical to full enumeration at any k (see
-	// orbit.go for the exactness argument); only wall-clock time changes.
-	// SeedEnumeration takes precedence when both are set, keeping the
-	// seed ablation a pure baseline.
+	// are pointwise constant — into one weighted credit of the shared
+	// chains, and credit each junction's fan of varying chains once per
+	// row range, weighted by the orbits that use it: O(chains) work
+	// instead of O(paths). The resulting Stats, hit vectors and
+	// per-range contributions are bit-identical to full enumeration at
+	// any k (see fan.go for the exactness argument); only wall-clock
+	// time changes. SeedEnumeration takes precedence when both are set,
+	// keeping the seed ablation a pure baseline.
 	OrbitReduction bool
 	// OrbitStage1 restores the stage-1 orbit kernel — shared chains
 	// rebuilt per orbit through the division-heavy AppendChain and the
-	// varying chain accumulated one vertex at a time — instead of the
-	// stage-2 kernel (family-aggregated incremental chain maintenance
-	// with blocked rank-by-rank hit accumulation; see orbit2.go). It
-	// exists so the A11 ablation and the equivalence tests can measure
-	// stage 2 against the stage-1 baseline. Ignored unless
-	// OrbitReduction is set; Stats are bit-identical either way, so —
-	// like the worker count — the flag is excluded from job cache
-	// identity (see CacheKey).
+	// varying chain walked once per path (see orbit.go) — instead of the
+	// fan-aggregated kernel. It exists so the A11 ablation and the
+	// equivalence tests can measure the default kernel against the
+	// stage-1 baseline. Ignored unless OrbitReduction is set; Stats are
+	// bit-identical either way, so — like the worker count — the flag is
+	// excluded from job cache identity (see CacheKey).
 	OrbitStage1 bool
 	// Progress, when non-nil, receives periodic Progress snapshots from
 	// VerifyFullRouting and VerifyFullRoutingParallel. It is called
@@ -411,16 +411,6 @@ func (ps *pathScratch) pack(r *Router, rows, cols []int64) int64 {
 	var x int64
 	for l := 0; l < r.k; l++ {
 		x = x*r.a + rows[l]*n0 + cols[l]
-	}
-	return x
-}
-
-// packN packs k base-n₀ digits (one row or column coordinate per slot).
-func (ps *pathScratch) packN(r *Router, digits []int64) int64 {
-	n0 := int64(r.n0)
-	var x int64
-	for l := 0; l < r.k; l++ {
-		x = x*n0 + digits[l]
 	}
 	return x
 }

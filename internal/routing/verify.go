@@ -181,44 +181,63 @@ func (r *Router) VerifyFullRouting() (Stats, error) {
 // VerifyChainUsage checks the exact counting claim inside Lemma 4's
 // proof: composed over all input–output pairs of both sides, every
 // guaranteed-dependency chain is used exactly 3n₀ᵏ times.
+func (r *Router) VerifyChainUsage() error {
+	useA, useB := r.chainUsage()
+	return r.checkChainUsage(useA, useB)
+}
+
+// chainUsage counts, over every input–output pair of both sides, the
+// uses of each guaranteed chain by the pair's Lemma 4 path.
 //
 // A guaranteed chain is determined by its input plus the k free output
 // digits (the columns for an A-chain, the rows for a B-chain), so the
 // counters live in two dense []int64 of size aᵏ·n₀ᵏ indexed by
-// in·n₀ᵏ + packN(free) — no per-pair slice, closure, or map-key
-// allocations (the seed allocated four slices and a closure per pair,
-// O(a²ᵏ) total). Because every index corresponds to exactly one
-// guaranteed dependency, "all entries equal 3n₀ᵏ" also subsumes the
-// seed's separate completeness check that every dependency appears.
-func (r *Router) VerifyChainUsage() error {
-	aK := r.powA[r.k]
+// in·n₀ᵏ + free, with the free digits packed base n₀. The pairs are
+// enumerated by their four packed digit vectors — the input's row and
+// column digits, the output's row and column digits — and every packed
+// multi-index a path needs is the sum of two spread-table entries,
+// rowSpread[rows] + colSpread[cols], so no pair pays a per-slot loop.
+func (r *Router) chainUsage() (useA, useB []int64) {
+	n0 := int64(r.n0)
 	n0K := r.powN[r.k]
-	useA := make([]int64, aK*n0K)
-	useB := make([]int64, aK*n0K)
-	ps := r.newPathScratch()
-	for in := int64(0); in < aK; in++ {
-		ps.setIn(r, in)
-		ps.setOut(r, 0)
-		fIn := ps.packN(r, ps.iD) // row digits of in, packed base n₀
-		fJn := ps.packN(r, ps.jD) // col digits of in, packed base n₀
-		for out := int64(0); out < aK; out++ {
-			if out != 0 {
-				ps.advanceOut(r)
+	useA = make([]int64, r.powA[r.k]*n0K)
+	useB = make([]int64, r.powA[r.k]*n0K)
+	// colSpread[f] places the base-n₀ digits of f as the column digits
+	// of a packed multi-index, rowSpread[f] as its row digits.
+	rowSpread := make([]int64, n0K)
+	colSpread := make([]int64, n0K)
+	for f := int64(1); f < n0K; f++ {
+		// f = n₀·(f/n₀) + f%n₀: shift the higher digits one slot left.
+		colSpread[f] = colSpread[f/n0]*r.a + f%n0
+		rowSpread[f] = colSpread[f] * n0
+	}
+	for fIn := int64(0); fIn < n0K; fIn++ { // row digits of the input
+		for fJn := int64(0); fJn < n0K; fJn++ { // column digits of the input
+			in := rowSpread[fIn] + colSpread[fJn]
+			for fOi := int64(0); fOi < n0K; fOi++ { // row digits of the output
+				aIn := rowSpread[fOi] + colSpread[fIn]
+				for fOj := int64(0); fOj < n0K; fOj++ { // column digits of the output
+					// A-side source: a_ij → c_ij′ → b_jj′ → c_i′j′.
+					bIn := rowSpread[fJn] + colSpread[fOj]
+					useA[in*n0K+fOj]++  // chain a_ij → c_{i,j′}
+					useB[bIn*n0K+fIn]++ // chain b_jj′ → c_{i,j′}
+					useB[bIn*n0K+fOi]++ // chain b_jj′ → c_{i′,j′}
+					// B-side source: b_ij → c_i′j → a_i′i → c_i′j′.
+					useB[in*n0K+fOi]++  // chain b_ij → c_{i′,j}
+					useA[aIn*n0K+fJn]++ // chain a_i′i → c_{i′,j}
+					useA[aIn*n0K+fOj]++ // chain a_i′i → c_{i′,j′}
+				}
 			}
-			fOi := ps.packN(r, ps.oiD)
-			fOj := ps.packN(r, ps.ojD)
-			// A-side source: a_ij → c_ij′ → b_jj′ → c_i′j′.
-			bIn := ps.pack(r, ps.jD, ps.ojD)
-			useA[in*n0K+fOj]++  // chain a_ij → c_{i,j′}
-			useB[bIn*n0K+fIn]++ // chain b_jj′ → c_{i,j′}
-			useB[bIn*n0K+fOi]++ // chain b_jj′ → c_{i′,j′}
-			// B-side source: b_ij → c_i′j → a_i′i → c_i′j′.
-			aIn := ps.pack(r, ps.oiD, ps.iD)
-			useB[in*n0K+fOi]++  // chain b_ij → c_{i′,j}
-			useA[aIn*n0K+fJn]++ // chain a_i′i → c_{i′,j}
-			useA[aIn*n0K+fOj]++ // chain a_i′i → c_{i′,j′}
 		}
 	}
+	return useA, useB
+}
+
+// checkChainUsage requires every counter of chainUsage to be exactly
+// 3n₀ᵏ. Because every index corresponds to exactly one guaranteed
+// dependency, this also checks that every dependency's chain is used.
+func (r *Router) checkChainUsage(useA, useB []int64) error {
+	n0K := r.powN[r.k]
 	want := 3 * n0K
 	for idx, c := range useA {
 		if c != want {

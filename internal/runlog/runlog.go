@@ -184,7 +184,7 @@ type Summary struct {
 	// orbit-reduction counters across heartbeat metric snapshots (the
 	// counters are monotone within a process, so the maximum is the
 	// last complete snapshot even when heartbeats interleave). Families
-	// stay zero unless a run used the stage-2 orbit kernel; their ratio
+	// stay zero unless a run used the default orbit kernel; their ratio
 	// is the kernel's shared-chain aggregation fan-in.
 	OrbitGroups   float64
 	OrbitFamilies float64
