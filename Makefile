@@ -81,13 +81,15 @@ bench-diff:
 	exit $$st
 
 # CI smoke: one iteration of the parallel-verification benchmark, the
-# pebble simulator per policy and the segment certifier, with
-# allocation counts — catches a bench-harness, kernel, simulator or
-# certifier regression without paying for a full measured run. The
-# simulator and certifier benchmarks are not in BENCH_PATTERN, so the
-# hard allocs/op gate of bench-diff does not cover them yet.
+# pebble simulator per policy, the segment certifier and the
+# checkpointed engine's whole job (BenchmarkRunJob), with allocation
+# counts — catches a bench-harness, kernel, simulator, certifier or
+# checkpoint-engine regression without paying for a full measured run.
+# These benchmarks, other than the first, are not in BENCH_PATTERN, so
+# the hard allocs/op gate of bench-diff does not cover them yet.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkA7ParallelVerification|BenchmarkSimulatorRun|BenchmarkCertify' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkRunJob' -benchtime 1x -benchmem ./internal/routing
 
 # Fuzz smoke: every fuzz target in the module for 10 s each, past its
 # seed corpus (plain `go test` runs only the seeds). `go test -fuzz`
@@ -180,12 +182,13 @@ obs-smoke:
 # resubmit the identical spec, and require the response to be served
 # from the result cache — "cached": true and the engine's
 # routing_paths_verified_total counter not advancing (nothing was
-# re-enumerated). Durability leg: submit a 76-shard job to a daemon
+# re-enumerated). Durability leg: submit an 8-shard job to a daemon
 # started with the -crashaftershards failpoint, let it die mid-job
-# (exit 2, checkpoints flushed per shard), restart over the same data
-# dir, and require the recovered job to resume and finish with a
-# certificate byte-identical to the uninterrupted run from the first
-# leg. The resume is watched two ways at once: an SSE stream on
+# (exit 2, no drain), restart over the same data dir, and require the
+# recovered job to resume from a partial checkpoint — routelog's merged
+# trace must report at least one shard restored, so the leg cannot pass
+# by rerunning from scratch — and finish with a certificate
+# byte-identical to the uninterrupted run from the first leg. The resume is watched two ways at once: an SSE stream on
 # /jobs/{id}/events whose terminal `final` event must carry the same
 # certificate the polling loop sees, and the per-job journals of both
 # daemon generations, which routelog must merge into a single trace
@@ -286,6 +289,8 @@ routed-smoke:
 		|| { echo "routed-smoke: crash and resume legs did not merge into one trace"; cat $(ROUTED_DIR)/routelog.out; exit 1; }; \
 	grep "^trace $$tr2" $(ROUTED_DIR)/routelog.out | grep -q 'final paths=' \
 		|| { echo "routed-smoke: merged trace has no final"; cat $(ROUTED_DIR)/routelog.out; exit 1; }; \
+	grep -Eq 'restored from checkpoint: [1-9][0-9]*/8 shards' $(ROUTED_DIR)/routelog.out \
+		|| { echo "routed-smoke: crashed job did not resume from a partial checkpoint"; cat $(ROUTED_DIR)/routelog.out; exit 1; }; \
 	grep -q '^ waterfall:' $(ROUTED_DIR)/routelog.out \
 		|| { echo "routed-smoke: routelog produced no waterfall"; cat $(ROUTED_DIR)/routelog.out; exit 1; }; \
-	echo "routed-smoke: PASS — cache hit served without re-enumeration; crashed job resumed to a byte-identical certificate (polled and streamed) with two-leg cost accounting; capture ring live; routelog merged both legs into one trace"
+	echo "routed-smoke: PASS — cache hit served without re-enumeration; crashed job resumed from a partial checkpoint to a byte-identical certificate (polled and streamed) with two-leg cost accounting; capture ring live; routelog merged both legs into one trace"

@@ -5,15 +5,16 @@ package routing
 // shards of whole rows (row = one (side, input) pair, see parallel.go),
 // by sequential enumeration order, so the shard boundaries — and hence
 // every per-shard contribution — are independent of the worker count.
-// Workers pull shards from a queue; each completed shard's int64 hit
-// vector, meta-vertex counts, and path/adjacency tallies are merged
-// into a single accumulated Checkpoint, persisted with an atomic
-// write-to-temp-then-rename so a crash can never leave a torn file.
-// On resume, completed shards are skipped and their cached
-// contributions reused; because every merged quantity is an exact
-// int64 sum (or a max over exact sums), an interrupted-and-resumed run
-// produces final Stats bit-identical to an uninterrupted one, at any
-// worker count.
+// Workers pull shards from a queue and scan them into int64 hit and
+// meta-vertex vectors each keeps for the whole run; from time to time
+// (see CheckpointConfig) a worker merges its vectors and its completed
+// shards' path/adjacency tallies into a single accumulated Checkpoint,
+// which is persisted with an atomic write-to-temp-then-rename so a
+// crash can never leave a torn file. On resume, completed shards are
+// skipped and their cached contributions reused; because every merged
+// quantity is an exact int64 sum (or a max over exact sums), an
+// interrupted-and-resumed run produces final Stats bit-identical to an
+// uninterrupted one, at any worker count.
 //
 // The file (format version 2) is, in order:
 //
@@ -81,6 +82,19 @@ const defaultShardPaths = 1 << 20
 var ErrPaused = errors.New("routing: checkpointed verification paused before completion")
 
 // CheckpointConfig configures VerifyFullRoutingCheckpointed.
+//
+// Durability. Each worker scans its shards into accumulators it keeps
+// for the whole run, and merges them into the checkpoint after its
+// first shard, then at most once per save interval, and when it stops.
+// The checkpoint is saved after the run's first merge, then after a
+// merge at most once per interval, and once more at the end if
+// anything merged since. The interval is ten times the last save's
+// duration, and at least a second, so saves stay near a tenth of the
+// wall time even where the vectors are tens of millions of entries
+// long. Pause (MaxShards), drain (Stop) and completion persist every
+// completed shard. A hard kill loses the work not yet saved: at most
+// about two intervals, plus one shard per worker. Every saved file is
+// the exact sum of its done shards, so it resumes under any kernel.
 type CheckpointConfig struct {
 	// Path is the checkpoint file (required). Saves write Path+".tmp"
 	// and rename it over Path, so a crash mid-save is harmless.
@@ -90,21 +104,17 @@ type CheckpointConfig struct {
 	// adopts the checkpoint's shard size. An explicit value must match
 	// the checkpoint it resumes.
 	ShardRows int64
-	// FlushEvery persists the checkpoint after this many newly
-	// completed shards (0 = after every shard). Larger values trade
-	// re-verification work after a crash for less write amplification
-	// on runs with large hit vectors.
-	FlushEvery int
 	// MaxShards, when positive, stops the run after completing this
 	// many new shards and returns an ErrPaused-wrapped error — a
 	// time-boxing knob (and the seam the interrupt/resume tests and
 	// `make verify-resume` use to simulate a kill).
 	MaxShards int64
 	// Stop, when non-nil, makes workers stop claiming new shards once
-	// it is closed: in-flight shards finish, merge, and persist, then
-	// the run returns an ErrPaused-wrapped error exactly as MaxShards
-	// would. This is the graceful-drain seam a daemon's SIGTERM
-	// handler uses — a drained job's checkpoint resumes on restart.
+	// it is closed: in-flight shards finish, and every completed shard
+	// is merged and persisted, then the run returns an ErrPaused-wrapped
+	// error exactly as MaxShards would. This is the graceful-drain seam
+	// a daemon's SIGTERM handler uses — a drained job's checkpoint
+	// resumes on restart.
 	Stop <-chan struct{}
 	// Resume loads an existing checkpoint at Path and skips its
 	// completed shards. A missing file starts a fresh run, so retry
@@ -112,8 +122,10 @@ type CheckpointConfig struct {
 	// (different algorithm, k, shard size, or adjacency stride) is an
 	// error, and so is one that is corrupt (ErrCheckpointInvalid).
 	Resume bool
-	// OnShard, when non-nil, is called after each shard completes and
-	// merges (serialized by the engine's lock; keep it fast).
+	// OnShard, when non-nil, is called once per completed shard,
+	// serialized by the engine's lock (keep it fast). It reports
+	// completion, not persistence: the shard's hits may still be in its
+	// worker's accumulator, to be merged and saved later.
 	OnShard func(ShardDone)
 }
 
@@ -293,18 +305,40 @@ func (c *Checkpoint) adjSamples(plan shardPlan, aK int64) int64 {
 	return n
 }
 
-// mergeShard folds one completed shard's accumulator into the
-// checkpoint. Every field is an exact int64 sum, so merge order — and
-// therefore worker count and interruption pattern — cannot change the
-// final state.
-func (c *Checkpoint) mergeShard(shard int64, ws *workerState) {
-	c.Done[shard] = true
-	c.DoneCount++
-	c.NumPaths += ws.numPaths
-	c.TotalHits += ws.totalHits
-	c.AdjChecked += ws.adjChecked
-	hitVec(c.Hits).merge(ws.hits)
-	hitVec(c.MetaHits).merge(ws.metaHits)
+// saveIntervalFloor is the least save interval (see CheckpointConfig).
+// Tests raise it to pin the number of saves.
+var saveIntervalFloor = time.Second
+
+// shardBatch is a worker's completed but unmerged work: the shards and
+// their summed tallies. Their hits are in the worker's vectors.
+type shardBatch struct {
+	shards                          []int64
+	numPaths, totalHits, adjChecked int64
+}
+
+// add records a completed shard whose tallies are in ws.
+func (b *shardBatch) add(shard int64, ws *workerState) {
+	b.shards = append(b.shards, shard)
+	b.numPaths += ws.numPaths
+	b.totalHits += ws.totalHits
+	b.adjChecked += ws.adjChecked
+}
+
+// merge folds a worker's batch into the checkpoint and empties the
+// batch and the worker's vectors. Every field is an exact int64 sum, so
+// merge order and timing — and therefore worker count and interruption
+// pattern — cannot change the final state.
+func (c *Checkpoint) merge(b *shardBatch, ws *workerState) {
+	for _, s := range b.shards {
+		c.Done[s] = true
+	}
+	c.DoneCount += int64(len(b.shards))
+	c.NumPaths += b.numPaths
+	c.TotalHits += b.totalHits
+	c.AdjChecked += b.adjChecked
+	hitVec(c.Hits).drain(ws.hits)
+	hitVec(c.MetaHits).drain(ws.metaHits)
+	*b = shardBatch{shards: b.shards[:0]}
 }
 
 // stats derives the Stats of the accumulated state.
@@ -563,11 +597,12 @@ func (d *ckptDecoder) uvarint() int64 {
 
 // VerifyFullRoutingCheckpointed is VerifyFullRoutingParallel with
 // sharded crash-safe persistence: completed shards are merged into a
-// checkpoint file as the run proceeds, and a resumed run skips them,
-// producing final Stats bit-identical to an uninterrupted run at any
-// worker count. On a routing violation it reports exactly the error
-// VerifyFullRouting reports (earliest enumeration position); the
-// checkpoint keeps every *successfully* verified shard either way.
+// checkpoint file as the run proceeds (see CheckpointConfig for when),
+// and a resumed run skips them, producing final Stats bit-identical to
+// an uninterrupted run at any worker count. On a routing violation it
+// reports exactly the error VerifyFullRouting reports (earliest
+// enumeration position); the checkpoint keeps every shard merged
+// before the error, and never one whose scan failed or was cut short.
 // When MaxShards stops the run early, the returned error wraps
 // ErrPaused and the Stats cover the completed shards only.
 func (r *Router) VerifyFullRoutingCheckpointed(workers int, cfg CheckpointConfig) (Stats, error) {
@@ -633,10 +668,6 @@ func (r *Router) VerifyFullRoutingCheckpointed(workers int, cfg CheckpointConfig
 		r.G.EnsureMetaRootIndex() // likewise; seed kernel walks instead
 	}
 
-	flushEvery := cfg.FlushEvery
-	if flushEvery <= 0 {
-		flushEvery = 1
-	}
 	maxClaims := int64(len(pending))
 	if cfg.MaxShards > 0 && cfg.MaxShards < maxClaims {
 		maxClaims = cfg.MaxShards
@@ -646,33 +677,63 @@ func (r *Router) VerifyFullRoutingCheckpointed(workers int, cfg CheckpointConfig
 	var (
 		next        atomic.Int64
 		earliestErr atomic.Int64
-		mu          sync.Mutex // guards cp, sinceFlush, saveErr, firstErr
-		sinceFlush  int
+		mu          sync.Mutex     // guards everything below
+		completed   = cp.DoneCount // shards done, restored ones included
+		dirty       bool           // merged since the last save
+		lastSave    time.Time      // zero until the first save
+		saveDur     time.Duration  // the last save's
 		saveErr     error
 		firstErr    error
 		firstPos    = int64(math.MaxInt64)
 	)
 	earliestErr.Store(math.MaxInt64)
+	interval := func() time.Duration { return max(saveIntervalFloor, 10*saveDur) }
+	save := func() {
+		span := r.Obs.startSpan("checkpoint_persist")
+		span.SetAttr("shards_done", strconv.FormatInt(cp.DoneCount, 10))
+		t := time.Now()
+		if err := cp.save(cfg.Path, r.Obs); err != nil && saveErr == nil {
+			saveErr = err
+		}
+		lastSave = time.Now()
+		saveDur, dirty = lastSave.Sub(t), false
+		span.End()
+	}
+	merge := func(b *shardBatch, ws *workerState) {
+		span := r.Obs.startSpan("shard_merge")
+		span.SetAttr("shards", strconv.Itoa(len(b.shards)))
+		cp.merge(b, ws)
+		span.End()
+		dirty = true
+		if lastSave.IsZero() || time.Since(lastSave) >= interval() {
+			save()
+		}
+	}
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var (
+				ws        workerState
+				batch     shardBatch
+				lastMerge time.Time // zero until the worker's first merge
+			)
+		claim:
 			for {
 				if cfg.Stop != nil {
 					select {
 					case <-cfg.Stop:
-						// Drain requested: finish nothing new. Shards
-						// already merged are persisted by the final
-						// flush below, so the run resumes from here.
-						return
+						// Drain requested: claim nothing new, merge what
+						// is done; the final save below persists it.
+						break claim
 					default:
 					}
 				}
 				i := next.Add(1) - 1
 				if i >= maxClaims {
-					return
+					break
 				}
 				shard := pending[i]
 				rowLo := shard * plan.shardRows
@@ -681,58 +742,56 @@ func (r *Router) VerifyFullRoutingCheckpointed(workers int, cfg CheckpointConfig
 				// published before this shard precedes every later one
 				// too: this worker is done.
 				if earliestErr.Load() < rowLo*aK {
-					return
+					break
 				}
-				var ws workerState
+				if r.beforeShard != nil {
+					r.beforeShard(shard, &earliestErr)
+				}
 				span := r.Obs.startSpan("shard_enumerate")
 				span.SetAttr("shard", strconv.FormatInt(shard, 10))
 				r.scanRange(w, workers, rowLo, rowHi, &earliestErr, &ws)
 				span.SetAttr("paths", strconv.FormatInt(ws.numPaths, 10))
 				span.End()
-				mu.Lock()
-				if ws.err != nil {
-					// Failed shards stay pending; completed ones keep
-					// checkpointing so a fixed run resumes from them.
-					if ws.errPos < firstPos {
+				if ws.err != nil || ws.cancelled {
+					// The vectors now hold part of this shard on top of
+					// the batch, so neither may merge: the batch's shards
+					// stay pending and the state is dropped with the
+					// worker. Every shard left to claim lies after the
+					// published error, so the worker has nothing more to do.
+					mu.Lock()
+					if ws.err != nil && ws.errPos < firstPos {
 						firstPos, firstErr = ws.errPos, ws.err
 					}
 					mu.Unlock()
-					continue
+					return
 				}
-				mergeSpan := r.Obs.startSpan("shard_merge")
-				mergeSpan.SetAttr("shard", strconv.FormatInt(shard, 10))
-				cp.mergeShard(shard, &ws)
-				mergeSpan.End()
+				batch.add(shard, &ws)
+				mu.Lock()
+				if lastMerge.IsZero() || time.Since(lastMerge) >= interval() {
+					merge(&batch, &ws)
+					lastMerge = time.Now()
+				}
+				completed++
 				if in := r.Obs; in != nil {
 					in.ShardsDone.Inc()
 				}
 				if cfg.OnShard != nil {
 					cfg.OnShard(ShardDone{Shard: shard, Rows: rowHi - rowLo,
-						Paths: ws.numPaths, Done: cp.DoneCount, Total: plan.numShards})
+						Paths: ws.numPaths, Done: completed, Total: plan.numShards})
 				}
-				sinceFlush++
-				if sinceFlush >= flushEvery {
-					persistSpan := r.Obs.startSpan("checkpoint_persist")
-					persistSpan.SetAttr("shards_done", strconv.FormatInt(cp.DoneCount, 10))
-					if err := cp.save(cfg.Path, r.Obs); err != nil && saveErr == nil {
-						saveErr = err
-					}
-					persistSpan.End()
-					sinceFlush = 0
-				}
+				mu.Unlock()
+			}
+			if len(batch.shards) > 0 {
+				mu.Lock()
+				merge(&batch, &ws)
 				mu.Unlock()
 			}
 		}(w)
 	}
 	wg.Wait()
 
-	if sinceFlush > 0 {
-		persistSpan := r.Obs.startSpan("checkpoint_persist")
-		persistSpan.SetAttr("shards_done", strconv.FormatInt(cp.DoneCount, 10))
-		if err := cp.save(cfg.Path, r.Obs); err != nil && saveErr == nil {
-			saveErr = err
-		}
-		persistSpan.End()
+	if dirty {
+		save()
 	}
 	st := cp.stats(r, start)
 	switch {

@@ -6,9 +6,15 @@ package routing
 
 import (
 	"errors"
+	"fmt"
+	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pathrouting/internal/bilinear"
 	"pathrouting/internal/obs"
@@ -317,4 +323,155 @@ func TestResumeCreditsRestoredWork(t *testing.T) {
 		t.Fatalf("fully-restored notifications %+v, want one covering all 8 shards", restored)
 	}
 	r.Obs = nil
+}
+
+// TestCancelledShardStaysPending pins that a shard whose scan another
+// worker's earlier error cut short is never merged or saved as done. A
+// hook publishes an error position inside shard 2's first row, as a
+// concurrent worker that failed there would, after the worker claimed
+// the shard: the scan stops at the shard's second row. The saved file
+// must leave the shard pending and stay valid, and a resume of it over
+// a corrupted matching must report the routing error, not reject the
+// file. Both the scratch and the fan kernel are checked.
+func TestCancelledShardStaysPending(t *testing.T) {
+	for _, orbits := range []bool{false, true} {
+		t.Run(fmt.Sprintf("orbits=%t", orbits), func(t *testing.T) {
+			corrupt := corruptRouter(t, 3) // 128 rows of 64 paths
+			corrupt.OrbitReduction = orbits
+			healthy, err := NewRouter(corrupt.G)
+			if err != nil {
+				t.Fatal(err)
+			}
+			healthy.AdjacencySampleStride = corrupt.AdjacencySampleStride
+			healthy.OrbitReduction = orbits
+			const shardRows, cancelled = 2, 2 // 64 shards
+			aK := healthy.powA[healthy.k]
+			healthy.beforeShard = func(shard int64, earliestErr *atomic.Int64) {
+				if shard == cancelled {
+					earliestErr.Store(cancelled*shardRows*aK + aK/2)
+				}
+			}
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			if _, err := healthy.VerifyFullRoutingCheckpointed(1, CheckpointConfig{
+				Path: path, ShardRows: shardRows,
+			}); err == nil {
+				t.Fatal("a run with a published error reported success")
+			}
+			cp, err := LoadCheckpoint(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := healthy.checkpointCompat(cp, healthy.shardPlan(shardRows)); err != nil {
+				t.Fatalf("saved checkpoint does not resume: %v", err)
+			}
+			if cp.DoneCount == 0 || cp.Done[cancelled] {
+				t.Fatalf("saved checkpoint: %d shards done, cancelled shard done %t; want the first shard done and the cancelled one pending",
+					cp.DoneCount, cp.Done[cancelled])
+			}
+
+			// The resumed run scans the pending shards in order, so it
+			// reports the first error after the done prefix.
+			first := int64(0)
+			for cp.Done[first] {
+				first++
+			}
+			var want workerState
+			var none atomic.Int64
+			none.Store(math.MaxInt64)
+			corrupt.scanRows(0, 1, first*shardRows, corrupt.numRows(), &none, &want)
+			if want.err == nil {
+				t.Fatal("the corrupted matching has no error past the done shards")
+			}
+			_, err = corrupt.VerifyFullRoutingCheckpointed(1, CheckpointConfig{
+				Path: path, ShardRows: shardRows, Resume: true,
+			})
+			if err == nil || err.Error() != want.err.Error() {
+				t.Fatalf("resume reported %v, want the routing error %v", err, want.err)
+			}
+		})
+	}
+}
+
+// TestCheckpointSavesBoundedByTime pins the save schedule: with the
+// save interval raised past the run's length, a 128-shard run on two
+// workers saves exactly twice — after the first merge and at the end —
+// and every file OnShard can read after the first save is a valid
+// checkpoint that resumes.
+func TestCheckpointSavesBoundedByTime(t *testing.T) {
+	defer func(d time.Duration) { saveIntervalFloor = d }(saveIntervalFloor)
+	saveIntervalFloor = time.Hour
+	r := mustRouter(t, bilinear.Strassen(), 3) // 128 rows
+	want, err := r.VerifyFullRouting()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Elapsed = 0
+	r.Obs = NewInstruments(obs.NewRegistry())
+	defer func() { r.Obs = nil }()
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	plan := r.shardPlan(1)
+	var loads int
+	st, err := r.VerifyFullRoutingCheckpointed(2, CheckpointConfig{
+		Path: path, ShardRows: 1,
+		OnShard: func(ShardDone) {
+			cp, err := LoadCheckpoint(path)
+			if errors.Is(err, fs.ErrNotExist) && loads == 0 {
+				return // not saved yet
+			}
+			if err != nil {
+				t.Errorf("file read after a save: %v", err)
+				return
+			}
+			if err := r.checkpointCompat(cp, plan); err != nil {
+				t.Errorf("file read after a save: %v", err)
+			}
+			loads++
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Elapsed = 0
+	if st != want {
+		t.Fatalf("checkpointed %+v, plain %+v", st, want)
+	}
+	if n := r.Obs.CheckpointFsync.Count(); n != 2 {
+		t.Fatalf("%d saves, want 2 (first merge, end of run)", n)
+	}
+	if loads == 0 {
+		t.Fatal("OnShard never saw a saved file")
+	}
+}
+
+// TestCheckpointAllocsFlatInShards pins that a shard costs its scan and
+// no per-vertex allocation: a checkpointed Strassen k=4 run on two
+// workers allocates less than 8 KiB more per extra shard at 128 shards
+// than at 8. Fresh per-shard vectors would cost ~380 KB a shard.
+func TestCheckpointAllocsFlatInShards(t *testing.T) {
+	for _, orbits := range []bool{false, true} {
+		t.Run(fmt.Sprintf("orbits=%t", orbits), func(t *testing.T) {
+			r := mustRouter(t, bilinear.Strassen(), 4) // 512 rows
+			r.OrbitReduction = orbits
+			r.G.EnsureAdjacencyIndex()
+			r.G.EnsureMetaRootIndex()
+			alloc := func(shardRows int64) (bytes, shards int64) {
+				path := filepath.Join(t.TempDir(), "run.ckpt")
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				if _, err := r.VerifyFullRoutingCheckpointed(2, CheckpointConfig{Path: path, ShardRows: shardRows}); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&after)
+				return int64(after.TotalAlloc - before.TotalAlloc), r.shardPlan(shardRows).numShards
+			}
+			few, fewShards := alloc(64)
+			many, manyShards := alloc(4)
+			per := (many - few) / (manyShards - fewShards)
+			t.Logf("%d shards: %d B; %d shards: %d B; %d B per extra shard", fewShards, few, manyShards, many, per)
+			if per >= 8<<10 {
+				t.Fatalf("%d shards allocate %d B, %d shards %d B: %d B per extra shard, want < 8 KiB",
+					fewShards, few, manyShards, many, per)
+			}
+		})
+	}
 }

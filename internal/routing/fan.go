@@ -63,7 +63,6 @@ package routing
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -81,23 +80,16 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 	n0K := r.powN[k]
 	wantLen := 3*(2*k+2) - 2
 	stride := r.adjStride()
-	out.hits = make(hitVec, g.NumVertices())
-	out.metaHits = make(hitVec, g.NumVertices())
-	out.errPos = math.MaxInt64
+	out.begin(g.NumVertices())
 	total := (rowHi - rowLo) * aK
 	observing := r.Progress != nil || r.Obs != nil
 	nextEmit := int64(progressChunk)
-	var lastEmit, lastPeak time.Time
+	var lastEmit time.Time
 	var flushedPaths, flushedAdj int64
 	var orbits, flushedOrbits int64
 	var families, flushedFamilies int64
 	emit := func(final bool) {
-		// Peak recomputed as in stage 1: first, final and time-floor
-		// snapshots only.
-		if final || lastPeak.IsZero() || time.Since(lastPeak) >= progressTimeFloor {
-			out.peak = out.hits.max()
-			lastPeak = time.Now()
-		}
+		out.notePeak() // as in stage 1
 		r.Obs.flushScan(out.numPaths-flushedPaths, out.adjChecked-flushedAdj, out.peak)
 		r.Obs.flushOrbit(orbits-flushedOrbits, families-flushedFamilies)
 		flushedPaths, flushedAdj = out.numPaths, out.adjChecked
@@ -153,9 +145,12 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 	}
 
 	// stamp/serial: stage 1's epoch-stamped "already counted for every
-	// member of this orbit" test.
-	stamp := make([]int64, g.NumVertices())
-	var serial int64
+	// member of this orbit" test. Both live in out for the whole run:
+	// the serial only grows, so stamps from earlier ranges never match.
+	if out.stamp == nil {
+		out.stamp = make([]int64, g.NumVertices())
+	}
+	stamp, serial := out.stamp, out.serial
 	// credit adds an orbit's hits at v and, once per orbit, n₀ᵏ − f at
 	// v's root, f being F_b(v). It returns the root, which must be v or
 	// prevRoot, the root of v's chain predecessor (-1 at a chain's
@@ -191,6 +186,7 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 	for row := rowLo; row < rowHi; row++ {
 		// Cooperative cancellation at row granularity, as in scanRows.
 		if earliestErr.Load() < row*aK {
+			out.cancelled = true
 			return
 		}
 		side, in := r.rowOf(row)
@@ -307,6 +303,7 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 				jcSuf[j] = jcDig[k-j]*r.powA[j-1] + jcSuf[j-1]
 			}
 			serial++
+			out.serial = serial
 			orbits++
 			// The rest of chain 1 (product, dec 1..k), then chain 2 minus
 			// c_ij′ (enc 0..k, product, dec 1..k-1), each in chain order so

@@ -47,3 +47,16 @@ func (h hitVec) merge(other hitVec) {
 		h[v] += c
 	}
 }
+
+// drain adds other into h element-wise and zeroes other, in one pass:
+// the checkpointed engine's merge, which leaves a worker's vectors
+// ready for its next shards. Zero entries are skipped, so neither
+// vector is written where a worker found nothing.
+func (h hitVec) drain(other hitVec) {
+	for v, c := range other {
+		if c != 0 {
+			h[v] += c
+			other[v] = 0
+		}
+	}
+}

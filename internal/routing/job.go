@@ -58,14 +58,13 @@ type JobConfig struct {
 	// CheckpointPath is the job's checkpoint file (required): jobs
 	// always run checkpointed so a killed executor resumes them.
 	CheckpointPath string
-	// ShardRows, FlushEvery, Resume, Stop, and OnShard pass through to
+	// ShardRows, Resume, Stop, and OnShard pass through to
 	// CheckpointConfig (see there). Executors should pass Resume
 	// unconditionally: a missing checkpoint starts fresh.
-	ShardRows  int64
-	FlushEvery int
-	Resume     bool
-	Stop       <-chan struct{}
-	OnShard    func(ShardDone)
+	ShardRows int64
+	Resume    bool
+	Stop      <-chan struct{}
+	OnShard   func(ShardDone)
 	// Progress and Obs pass through to the Router (see there).
 	Progress func(Progress)
 	Obs      *Instruments
@@ -135,12 +134,11 @@ func RunJob(ctx context.Context, cfg JobConfig) (Stats, error) {
 	r.Progress = cfg.Progress
 	r.Obs = in
 	stats, err := r.VerifyFullRoutingCheckpointed(cfg.Workers, CheckpointConfig{
-		Path:       cfg.CheckpointPath,
-		ShardRows:  cfg.ShardRows,
-		FlushEvery: cfg.FlushEvery,
-		Resume:     cfg.Resume,
-		Stop:       cfg.Stop,
-		OnShard:    cfg.OnShard,
+		Path:      cfg.CheckpointPath,
+		ShardRows: cfg.ShardRows,
+		Resume:    cfg.Resume,
+		Stop:      cfg.Stop,
+		OnShard:   cfg.OnShard,
 	})
 	switch {
 	case err == nil:

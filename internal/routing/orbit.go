@@ -62,7 +62,6 @@ package routing
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -82,13 +81,11 @@ func (r *Router) scanRowsOrbit(w, workers int, rowLo, rowHi int64, earliestErr *
 	chainLen := 2*r.k + 2
 	wantLen := 3*chainLen - 2
 	stride := r.adjStride()
-	out.hits = make(hitVec, g.NumVertices())
-	out.metaHits = make(hitVec, g.NumVertices())
-	out.errPos = math.MaxInt64
+	out.begin(g.NumVertices())
 	total := (rowHi - rowLo) * aK
 	observing := r.Progress != nil || r.Obs != nil
 	nextEmit := int64(progressChunk)
-	var lastEmit, lastPeak time.Time
+	var lastEmit time.Time
 	var flushedPaths, flushedAdj int64
 	var orbits, flushedOrbits int64
 	emit := func(final bool) {
@@ -97,12 +94,9 @@ func (r *Router) scanRowsOrbit(w, workers int, rowLo, rowHi int64, earliestErr *
 		// so the scan's maximum at recompute time is exact, and nothing
 		// outside Progress/metrics reads out.peak (the final Stats
 		// maximum comes from the merged vectors). A recompute is a pass
-		// over every vertex, so it runs on the first and final snapshots
-		// and at most once per time floor, not on every chunk.
-		if final || lastPeak.IsZero() || time.Since(lastPeak) >= progressTimeFloor {
-			out.peak = out.hits.max()
-			lastPeak = time.Now()
-		}
+		// over every vertex, so notePeak runs it on the worker's first
+		// snapshot and then at most once per time floor, across ranges.
+		out.notePeak()
 		r.Obs.flushScan(out.numPaths-flushedPaths, out.adjChecked-flushedAdj, out.peak)
 		r.Obs.flushOrbit(orbits-flushedOrbits, 0)
 		flushedPaths, flushedAdj, flushedOrbits = out.numPaths, out.adjChecked, orbits
@@ -135,15 +129,19 @@ func (r *Router) scanRowsOrbit(w, workers int, rowLo, rowHi int64, earliestErr *
 	// stamp[root] holds the serial of the last orbit whose shared chains
 	// credited root; comparing against the current serial is the O(1)
 	// "already counted for every member of this orbit" test. Serial 0 is
-	// never used, so the zero-initialized vector starts clean.
-	stamp := make([]int64, g.NumVertices())
-	var serial int64
+	// never used, so the zero-initialized vector starts clean, and the
+	// serial only grows across the worker's ranges, so it stays clean.
+	if out.stamp == nil {
+		out.stamp = make([]int64, g.NumVertices())
+	}
+	stamp := out.stamp
 
 	for row := rowLo; row < rowHi; row++ {
 		// Cooperative cancellation, as in scanRows: an error published
 		// before everything left in this worker's scan makes the rest
 		// irrelevant to the first-error selection.
 		if earliestErr.Load() < row*aK {
+			out.cancelled = true
 			return
 		}
 		side, in := r.rowOf(row)
@@ -177,7 +175,8 @@ func (r *Router) scanRowsOrbit(w, workers int, rowLo, rowHi int64, earliestErr *
 					fixedD[l] = 0
 				}
 			}
-			serial++
+			out.serial++
+			serial := out.serial
 			orbits++
 			// Packed output of the orbit's first member (free digits all
 			// zero); shared-chain failures are attributed to it.

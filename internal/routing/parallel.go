@@ -84,15 +84,53 @@ func (r *Router) VerifyFullRoutingHits(workers int) (Stats, []int64, error) {
 // has nonzero entries at meta-vertex roots, but a dense vector keeps
 // the per-path accumulation a bounds-checked array add instead of a
 // map operation, and is the form the checkpoint merges and stores.
+//
+// The vectors, the orbit kernels' stamp vector and its serial, and the
+// progress peak live for the whole run: the checkpointed engine scans
+// many shards into one state, and its merge adds the vectors into the
+// checkpoint and zeroes them. The tallies below them are per row range
+// and reset by begin.
 type workerState struct {
-	hits       hitVec
-	metaHits   hitVec
+	hits     hitVec
+	metaHits hitVec
+	stamp    []int64 // orbit kernels: serial of the last orbit to credit each root
+	serial   int64
+	peak     int64     // running max of hits (for Progress)
+	lastPeak time.Time // when the fan and stage-1 kernels last recomputed peak
+
 	numPaths   int64
 	totalHits  int64
 	adjChecked int64
-	peak       int64 // running max of hits (for Progress)
 	err        error
 	errPos     int64
+	// cancelled marks a scan that returned early, without an error of
+	// its own, because another worker published an earlier one. Its
+	// tallies and hits cover only part of the range.
+	cancelled bool
+}
+
+// begin readies s for a scan of one row range of an n-vertex graph: it
+// allocates the hit vectors on first use and resets the per-range
+// tallies.
+func (s *workerState) begin(n int) {
+	if s.hits == nil {
+		s.hits = make(hitVec, n)
+		s.metaHits = make(hitVec, n)
+	}
+	s.numPaths, s.totalHits, s.adjChecked = 0, 0, 0
+	s.err, s.errPos, s.cancelled = nil, math.MaxInt64, false
+}
+
+// notePeak recomputes the progress peak, a pass over every vertex, on
+// the worker's first snapshot and then at most once per
+// progressTimeFloor across all its ranges. Hits only grow between
+// merges, and a merge moves them into the checkpoint, so the running
+// maximum stays a lower bound on the final maximum.
+func (s *workerState) notePeak() {
+	if s.lastPeak.IsZero() || time.Since(s.lastPeak) >= progressTimeFloor {
+		s.peak = max(s.peak, s.hits.max())
+		s.lastPeak = time.Now()
+	}
 }
 
 // fail records the worker's first error and publishes its sequential
@@ -155,7 +193,10 @@ func (r *Router) adjStride() int64 {
 // scanRows verifies the pair paths of rows [rowLo, rowHi): length,
 // endpoints, sampled edge-by-edge adjacency, and hit accumulation per
 // vertex and per meta-vertex. It is the shared core of the plain
-// workers and of the checkpoint shards.
+// workers and of the checkpoint shards. The range's hits are added to
+// out's vectors, which may already hold earlier ranges'; its tallies
+// replace out's. A scan cut short by an earlier error that another
+// worker published sets out.cancelled.
 //
 // The loop is allocation-free in steady state: one pathScratch per
 // call carries the digit odometer and chain buffer, meta roots come
@@ -169,9 +210,7 @@ func (r *Router) scanRows(w, workers int, rowLo, rowHi int64, earliestErr *atomi
 	aK := r.powA[r.k]
 	wantLen := 3*(2*r.k+2) - 2
 	stride := r.adjStride()
-	out.hits = make(hitVec, g.NumVertices())
-	out.metaHits = make(hitVec, g.NumVertices())
-	out.errPos = math.MaxInt64
+	out.begin(g.NumVertices())
 	total := (rowHi - rowLo) * aK
 	observing := r.Progress != nil || r.Obs != nil
 	// Snapshot cadence: a monotonic per-worker "next threshold" (immune
@@ -209,6 +248,7 @@ func (r *Router) scanRows(w, workers int, rowLo, rowHi int64, earliestErr *atomi
 		// before everything left in this worker's scan makes the
 		// rest of the scan irrelevant to the first-error selection.
 		if earliestErr.Load() < row*aK {
+			out.cancelled = true
 			return
 		}
 		side, in := r.rowOf(row)

@@ -24,6 +24,7 @@ package routing
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"pathrouting/internal/bilinear"
 	"pathrouting/internal/cdag"
@@ -219,6 +220,11 @@ type Router struct {
 	// Updates happen at progress-snapshot and shard granularity, so
 	// instrumentation cost stays off the per-path hot path.
 	Obs *Instruments
+
+	// beforeShard, when set, runs in a checkpointed-engine worker after
+	// it claims a shard and before it scans it. Tests use it to publish
+	// an error position as a concurrent worker would.
+	beforeShard func(shard int64, earliestErr *atomic.Int64)
 
 	k    int
 	n0   int

@@ -173,8 +173,7 @@ func legSnapshot() obs.ResourceSnapshot {
 
 // accountLeg folds the current leg's cost so far onto the leg-start
 // base and returns the updated totals. Called on every shard boundary
-// (so a crash loses at most one shard of accounting, mirroring the
-// checkpoint guarantee) and at leg end.
+// (so a crash loses at most one shard of accounting) and at leg end.
 func (j *Job) accountLeg(snap obs.ResourceSnapshot) ResourcesDoc {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -765,8 +764,10 @@ func (s *Server) runJob(j *Job) {
 			j.onShard(d)
 			// Fold the leg's cost so far into the accumulated block and
 			// persist it before the external failpoint can fire: a crash
-			// loses at most one shard of accounting, mirroring the
-			// checkpoint's durability guarantee.
+			// loses at most one shard of accounting. The checkpoint is
+			// saved by time, not per shard (routing.CheckpointConfig), so
+			// after a crash the spec may also count the cost of shards
+			// the resumed leg redoes.
 			j.accountLeg(legSnapshot())
 			if err := s.persistSpec(j); err != nil {
 				fmt.Fprintf(os.Stderr, "serve: persist %s: %v\n", j.id, err)

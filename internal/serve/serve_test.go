@@ -234,12 +234,10 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestCrashResumeBitIdentical is the durability acceptance test: a
-// server hard-aborted mid-job (stop closed between shards, process
-// state discarded — the in-process analogue of kill -9, since every
-// completed shard is already fsynced to the checkpoint) must, on
-// restart over the same data dir, resume the job from its checkpoint
-// and finish with a certificate bit-identical to an uninterrupted
-// run's.
+// server aborted mid-job (stop closed between shards, process state
+// discarded) must, on restart over the same data dir, resume the job
+// from its checkpoint and finish with a certificate bit-identical to
+// an uninterrupted run's.
 func TestCrashResumeBitIdentical(t *testing.T) {
 	// Uninterrupted reference.
 	ref := newTestServer(t, Options{})
@@ -292,10 +290,12 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 func withoutElapsed(d statsDoc) statsDoc { d.ElapsedSec = 0; return d }
 
 // interruptJob submits spec to a server over dir and stops that server
-// once two shards are done — stop closed between shards, every
-// completed shard already fsynced to the checkpoint, as after a kill
-// -9 — leaving a job directory that a restarted server recovers. It
-// returns the job's ID.
+// once two shards are done, leaving a job directory that a restarted
+// server recovers. It returns the job's ID. Stop is closed from the
+// shard callback, so the engine drains: every completed shard is
+// merged and saved before the run returns. That is a graceful stop,
+// not a kill -9, which loses the work since the last timed save (see
+// routing.CheckpointConfig).
 func interruptJob(t *testing.T, dir string, spec JobSpec) string {
 	t.Helper()
 	var (
@@ -306,7 +306,7 @@ func interruptJob(t *testing.T, dir string, spec JobSpec) string {
 	s = newTestServer(t, Options{DataDir: dir, JobWorkers: 2, OnShard: func(_ *Job, d routing.ShardDone) {
 		if !d.Restored && d.Done >= 2 {
 			once.Do(func() {
-				s.BeginDrain() // no final flush beyond the per-shard saves
+				s.BeginDrain() // the engine saves every completed shard on drain
 				close(aborted)
 			})
 		}
@@ -427,9 +427,8 @@ func TestJobResourcesAccounted(t *testing.T) {
 }
 
 // TestAccountingSurvivesRestart: the cost accounting of a job aborted
-// mid-run is persisted per shard (the same durability contract as the
-// checkpoint), and the resumed leg accumulates onto the crashed leg's
-// totals instead of resetting them.
+// mid-run is persisted at every shard completion, and the resumed leg
+// accumulates onto the crashed leg's totals instead of resetting them.
 func TestAccountingSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	id := interruptJob(t, dir, JobSpec{Alg: "strassen", K: 3, ShardRows: 16}) // 8 shards
