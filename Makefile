@@ -81,15 +81,17 @@ bench-diff:
 	exit $$st
 
 # CI smoke: one iteration of the parallel-verification benchmark, the
-# pebble simulator per policy, the segment certifier and the
-# checkpointed engine's whole job (BenchmarkRunJob), with allocation
-# counts — catches a bench-harness, kernel, simulator, certifier or
-# checkpoint-engine regression without paying for a full measured run.
-# These benchmarks, other than the first, are not in BENCH_PATTERN, so
-# the hard allocs/op gate of bench-diff does not cover them yet.
+# pebble simulator per policy, the segment certifier, the checkpointed
+# engine's whole job (BenchmarkRunJob) and the CSR index build
+# (BenchmarkBuildAdjacency), with allocation counts — catches a
+# bench-harness, kernel, simulator, certifier, checkpoint-engine or
+# index regression without paying for a full measured run. These
+# benchmarks, other than the first, are not in BENCH_PATTERN, so the
+# hard allocs/op gate of bench-diff does not cover them yet.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkA7ParallelVerification|BenchmarkSimulatorRun|BenchmarkCertify' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkRunJob' -benchtime 1x -benchmem ./internal/routing
+	$(GO) test -run xxx -bench 'BenchmarkBuildAdjacency' -benchtime 1x -benchmem ./internal/cdag
 
 # Fuzz smoke: every fuzz target in the module for 10 s each, past its
 # seed corpus (plain `go test` runs only the seeds). `go test -fuzz`

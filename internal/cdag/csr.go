@@ -11,40 +11,94 @@ package cdag
 // short sorted row, and ParentRow hands out the row itself.
 //
 // The index is built lazily on first use and shared by every caller.
-// Building walks the graph twice (count, then fill) and stores one
-// int32 per edge plus one int64 per vertex, which for every graph New
-// admits (IDs fit int32) is a few hundred MB at the extreme and
-// typically far less. AppendParents emits each row in ascending ID
-// order already, so the build checks that order instead of sorting
-// each row. For Strassen G_5 (113,553 vertices) on a 2-core Xeon VM it
-// takes about 10 ms and 5 allocations (the two index arrays and the
-// scratch edge buffer); a per-row sort.Slice made it ~25 ms and
-// 204,019 allocations.
-
-import "slices"
+// It stores one int32 per edge plus one int64 per vertex, which for
+// every graph New admits (IDs fit int32) is a few hundred MB at the
+// extreme and typically far less. The build synthesizes the rows layer
+// by layer, in ID order, from the sparse U/V/W rows — the same
+// arithmetic as AppendParents without its per-vertex Locate and ID
+// range checks — and sizes the edge array from the layers' row lengths
+// up front, so it writes each row once. AppendParents stays the oracle:
+// the rows are bit-identical to its output, order included. For
+// Strassen G_5 (113,553 vertices) on a 2-core Xeon VM the build takes
+// about 0.9 ms and 2 allocations, the two index arrays
+// (BenchmarkBuildAdjacency); calling AppendParents twice per vertex
+// took 8–10 ms.
 
 // buildAdjacency materializes the parent adjacency of every vertex in
-// CSR form with each row sorted ascending. Encoding and decoding rows
-// come out of AppendParents in increasing base-row index, hence
-// increasing parent ID, and a product's row lists its EncA parent
-// before its EncB parent, so the sort is a fallback that never runs on
-// a graph New built.
+// CSR form. Each row lists the parents in ascending ID order, as
+// AppendParents does: an encoding or decoding row follows its base row
+// in increasing entry index, hence increasing parent ID, and a
+// product's row lists its EncA parent before its EncB parent.
 func (g *Graph) buildAdjacency() {
-	ptr := make([]int64, g.total+1)
-	var buf []Edge
-	for v := V(0); int64(v) < g.total; v++ {
-		buf = g.AppendParents(v, buf[:0])
-		ptr[v+1] = ptr[v] + int64(len(buf))
-	}
-	nbr := make([]V, ptr[g.total])
-	for v := V(0); int64(v) < g.total; v++ {
-		buf = g.AppendParents(v, buf[:0])
-		row := nbr[ptr[v]:ptr[v+1]]
-		for i, e := range buf {
-			row[i] = e.To
+	r, a, b := g.R, int64(g.a), int64(g.b)
+	rowEdges := func(rows [][]nz) (n int64) {
+		for _, row := range rows {
+			n += int64(len(row))
 		}
-		if !slices.IsSorted(row) {
-			slices.Sort(row)
+		return n
+	}
+	// Edge count: encoding rank j has b^(j-1)·a^(r-j) vertices per base
+	// row t, each with len(rows[t]) parents; decoding rank j likewise
+	// per output entry o; products have two.
+	edges := 2 * g.powB[r]
+	for j := 1; j <= r; j++ {
+		edges += g.powB[j-1] * g.powA[r-j] * (rowEdges(g.uRows) + rowEdges(g.vRows))
+		edges += g.powB[r-j] * g.powA[j-1] * rowEdges(g.wRows)
+	}
+	ptr := make([]int64, g.total+1)
+	nbr := make([]V, edges)
+	// v counts the rows closed so far and n the edges written: closing
+	// vertex v's row sets ptr[v+1] = n.
+	v, n := int64(0), int64(0)
+	for _, enc := range [2]struct {
+		off  []int64
+		rows [][]nz
+	}{{g.offEncA, g.uRows}, {g.offEncB, g.vRows}} {
+		for range g.powA[r] { // rank 0: the inputs have no parents
+			v++
+			ptr[v] = n
+		}
+		for j := 1; j <= r; j++ {
+			// Vertex (tPrefix, t, suffix) at rank j has the parents
+			// off[j-1] + tPrefix·a^(r-j+1) + e·a^(r-j) + suffix.
+			aPow, parentAPow, base := g.powA[r-j], g.powA[r-j+1], enc.off[j-1]
+			for tPrefix := range g.powB[j-1] {
+				for t := range b {
+					for suffix := range aPow {
+						p := base + tPrefix*parentAPow + suffix
+						for _, e := range enc.rows[t] {
+							nbr[n] = V(p + int64(e.idx)*aPow)
+							n++
+						}
+						v++
+						ptr[v] = n
+					}
+				}
+			}
+		}
+	}
+	for t := range g.powB[r] { // the products
+		nbr[n], nbr[n+1] = V(g.offEncA[r]+t), V(g.offEncB[r]+t)
+		n += 2
+		v++
+		ptr[v] = n
+	}
+	for j := 1; j <= r; j++ {
+		// Vertex (tPrefix, o, suffix) at decoding rank j has the parents
+		// offDec[j-1] + (tPrefix·b + e)·a^(j-1) + suffix.
+		oPow, base := g.powA[j-1], g.offDec[j-1]
+		for tPrefix := range g.powB[r-j] {
+			for o := range a {
+				for suffix := range oPow {
+					p := base + tPrefix*b*oPow + suffix
+					for _, e := range g.wRows[o] {
+						nbr[n] = V(p + int64(e.idx)*oPow)
+						n++
+					}
+					v++
+					ptr[v] = n
+				}
+			}
 		}
 	}
 	g.parentPtr, g.parentNbr = ptr, nbr

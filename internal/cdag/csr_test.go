@@ -94,31 +94,59 @@ func TestAdjacencyIndexConcurrentInit(t *testing.T) {
 
 // TestParentRowMatchesAppendParents requires every CSR row to list a
 // vertex's parents exactly as AppendParents does, order included, for
-// every catalog algorithm at r ≤ 3: the pebble simulator reads rows
-// where it used to call AppendParents, and its eviction ties depend on
-// the order parents are touched.
+// every catalog algorithm at r ≤ 3 and for Strassen G_5 and Winograd
+// G_4: the index synthesizes its rows layer by layer, AppendParents is
+// the oracle, and the pebble simulator, which reads rows where it used
+// to call AppendParents, breaks eviction ties by the order parents are
+// touched.
 func TestParentRowMatchesAppendParents(t *testing.T) {
+	type instance struct {
+		alg *bilinear.Algorithm
+		r   int
+	}
+	var instances []instance
 	for _, alg := range bilinear.All() {
 		for r := 1; r <= 3; r++ {
-			g, err := New(alg, r)
-			if err != nil {
-				t.Fatal(err)
+			instances = append(instances, instance{alg, r})
+		}
+	}
+	instances = append(instances, instance{bilinear.Strassen(), 5}, instance{bilinear.Winograd(), 4})
+	for _, in := range instances {
+		g, err := New(in.alg, in.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf []Edge
+		for v := V(0); int(v) < g.NumVertices(); v++ {
+			buf = g.AppendParents(v, buf[:0])
+			row := g.ParentRow(v)
+			if len(row) != len(buf) || cap(row) != len(row) {
+				t.Fatalf("%s r=%d: %s has row len %d cap %d, want %d parents",
+					in.alg.Name, in.r, g.Label(v), len(row), cap(row), len(buf))
 			}
-			var buf []Edge
-			for v := V(0); int(v) < g.NumVertices(); v++ {
-				buf = g.AppendParents(v, buf[:0])
-				row := g.ParentRow(v)
-				if len(row) != len(buf) || cap(row) != len(row) {
-					t.Fatalf("%s r=%d: %s has row len %d cap %d, want %d parents",
-						alg.Name, r, g.Label(v), len(row), cap(row), len(buf))
-				}
-				for i, e := range buf {
-					if row[i] != e.To {
-						t.Fatalf("%s r=%d: %s parent %d is %s in the row, %s from AppendParents",
-							alg.Name, r, g.Label(v), i, g.Label(row[i]), g.Label(e.To))
-					}
+			for i, e := range buf {
+				if row[i] != e.To {
+					t.Fatalf("%s r=%d: %s parent %d is %s in the row, %s from AppendParents",
+						in.alg.Name, in.r, g.Label(v), i, g.Label(row[i]), g.Label(e.To))
 				}
 			}
 		}
+		if last := g.parentPtr[g.NumVertices()]; last != int64(len(g.parentNbr)) {
+			t.Fatalf("%s r=%d: rows end at edge %d of %d", in.alg.Name, in.r, last, len(g.parentNbr))
+		}
+	}
+}
+
+// BenchmarkBuildAdjacency times building the CSR parent index of
+// Strassen G_5, the graph of the routecheck-k5 and job-k5 workloads.
+func BenchmarkBuildAdjacency(b *testing.B) {
+	g, err := New(bilinear.Strassen(), 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.buildAdjacency()
 	}
 }

@@ -47,6 +47,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"pathrouting/internal/obs"
 )
 
 // CheckpointVersion is the format version written into checkpoint
@@ -84,17 +86,28 @@ var ErrPaused = errors.New("routing: checkpointed verification paused before com
 // CheckpointConfig configures VerifyFullRoutingCheckpointed.
 //
 // Durability. Each worker scans its shards into accumulators it keeps
-// for the whole run, and merges them into the checkpoint after its
-// first shard, then at most once per save interval, and when it stops.
-// The checkpoint is saved after the run's first merge, then after a
-// merge at most once per interval, and once more at the end if
-// anything merged since. The interval is ten times the last save's
-// duration, and at least a second, so saves stay near a tenth of the
-// wall time even where the vectors are tens of millions of entries
-// long. Pause (MaxShards), drain (Stop) and completion persist every
-// completed shard. A hard kill loses the work not yet saved: at most
-// about two intervals, plus one shard per worker. Every saved file is
-// the exact sum of its done shards, so it resumes under any kernel.
+// for the whole run. While the run has saved nothing, a worker merges
+// them into the checkpoint right after a shard, which in effect means
+// after its first; after the first save, once a save interval has
+// passed since it started or last merged. A worker that stops keeps
+// its batch unmerged, and the kept batches merge together once the
+// last worker stops. The checkpoint is saved after the run's first
+// merge, then after a merge at most once per interval, and once more
+// at the end if anything merged since. The interval is ten times the
+// last save's duration, and at least a second, so saves stay near a
+// tenth of the wall time even where the vectors are tens of millions
+// of entries long. Pause (MaxShards), drain (Stop) and completion
+// persist every completed shard. A hard kill loses the work not yet
+// saved: at most about two intervals, plus one shard per worker. Every
+// saved file is the exact sum of its done shards, so it resumes under
+// any kernel.
+//
+// With the fan kernel (see fan.go) a batch's chain-3 fan credits land
+// when it merges: the worker sums its shards' junction-key weights and
+// walks each weighted fan once, outside the engine's lock, just before
+// the merge, and the batches kept at the end share one walk of their
+// summed weights, split across the stopped workers. Fans are walked
+// once per merge, not once per shard.
 type CheckpointConfig struct {
 	// Path is the checkpoint file (required). Saves write Path+".tmp"
 	// and rename it over Path, so a crash mid-save is harmless.
@@ -310,7 +323,8 @@ func (c *Checkpoint) adjSamples(plan shardPlan, aK int64) int64 {
 var saveIntervalFloor = time.Second
 
 // shardBatch is a worker's completed but unmerged work: the shards and
-// their summed tallies. Their hits are in the worker's vectors.
+// their summed tallies. Their hits are in the worker's vectors, and
+// with the fan kernel their junction-key weights in its fan state.
 type shardBatch struct {
 	shards                          []int64
 	numPaths, totalHits, adjChecked int64
@@ -325,7 +339,8 @@ func (b *shardBatch) add(shard int64, ws *workerState) {
 }
 
 // merge folds a worker's batch into the checkpoint and empties the
-// batch and the worker's vectors. Every field is an exact int64 sum, so
+// batch and the worker's vectors; the batch's fan pass must have run.
+// Every field is an exact int64 sum, so
 // merge order and timing — and therefore worker count and interruption
 // pattern — cannot change the final state.
 func (c *Checkpoint) merge(b *shardBatch, ws *workerState) {
@@ -339,6 +354,37 @@ func (c *Checkpoint) merge(b *shardBatch, ws *workerState) {
 	hitVec(c.Hits).drain(ws.hits)
 	hitVec(c.MetaHits).drain(ws.metaHits)
 	*b = shardBatch{shards: b.shards[:0]}
+}
+
+// splitFans sums the unwalked fan weights of the kept workers' states
+// into the first one and deals the weighted keys out round-robin, so
+// their fan passes together walk each key once. The vectors are then
+// exact only in sum: the batches must all merge before a save.
+func splitFans(states []workerState, kept []int) {
+	if len(kept) < 2 || states[kept[0]].fan.w[0] == nil {
+		return // one batch, or not the fan kernel
+	}
+	sum := &states[kept[0]].fan.w
+	for _, w := range kept[1:] {
+		for s, ws := range states[w].fan.w {
+			for key, wt := range ws {
+				sum[s][key] += wt
+				ws[key] = 0
+			}
+		}
+	}
+	var i int
+	for s, ws := range sum {
+		for key, wt := range ws {
+			if wt == 0 {
+				continue
+			}
+			if to := kept[i%len(kept)]; to != kept[0] {
+				states[to].fan.w[s][key], ws[key] = wt, 0
+			}
+			i++
+		}
+	}
 }
 
 // stats derives the Stats of the accumulated state.
@@ -677,17 +723,21 @@ func (r *Router) VerifyFullRoutingCheckpointed(workers int, cfg CheckpointConfig
 	var (
 		next        atomic.Int64
 		earliestErr atomic.Int64
-		mu          sync.Mutex     // guards everything below
-		completed   = cp.DoneCount // shards done, restored ones included
-		dirty       bool           // merged since the last save
-		lastSave    time.Time      // zero until the first save
-		saveDur     time.Duration  // the last save's
-		saveErr     error
-		firstErr    error
-		firstPos    = int64(math.MaxInt64)
+		every       atomic.Int64 // the save interval in ns; 0 until the first save
+		// Entry w is worker w's until the workers stop.
+		states  = make([]workerState, workers)
+		batches = make([]shardBatch, workers)
+
+		mu        sync.Mutex     // guards everything below
+		completed = cp.DoneCount // shards done, restored ones included
+		dirty     bool           // merged since the last save
+		lastSave  time.Time      // zero until the first save
+		saveErr   error
+		firstErr  error
+		firstPos  = int64(math.MaxInt64)
 	)
 	earliestErr.Store(math.MaxInt64)
-	interval := func() time.Duration { return max(saveIntervalFloor, 10*saveDur) }
+	interval := func() time.Duration { return time.Duration(every.Load()) }
 	save := func() {
 		span := r.Obs.startSpan("checkpoint_persist")
 		span.SetAttr("shards_done", strconv.FormatInt(cp.DoneCount, 10))
@@ -696,12 +746,21 @@ func (r *Router) VerifyFullRoutingCheckpointed(workers int, cfg CheckpointConfig
 			saveErr = err
 		}
 		lastSave = time.Now()
-		saveDur, dirty = lastSave.Sub(t), false
+		every.Store(int64(max(saveIntervalFloor, 10*lastSave.Sub(t))))
+		dirty = false
 		span.End()
 	}
-	merge := func(b *shardBatch, ws *workerState) {
+	// startMerge opens a batch's shard_merge span and runs its fan pass,
+	// outside the lock; merge, under it, folds the batch in and ends the
+	// span. The pass leaves the worker's vectors the exact sum of the
+	// batch's shards, so the merged checkpoint stays exact.
+	startMerge := func(b *shardBatch, ws *workerState) *obs.Span {
 		span := r.Obs.startSpan("shard_merge")
 		span.SetAttr("shards", strconv.Itoa(len(b.shards)))
+		r.fanPass(ws)
+		return span
+	}
+	merge := func(b *shardBatch, ws *workerState, span *obs.Span) {
 		cp.merge(b, ws)
 		span.End()
 		dirty = true
@@ -715,18 +774,20 @@ func (r *Router) VerifyFullRoutingCheckpointed(workers int, cfg CheckpointConfig
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var (
-				ws        workerState
-				batch     shardBatch
-				lastMerge time.Time // zero until the worker's first merge
-			)
+			ws, batch := &states[w], &batches[w]
+			ws.deferFan = true
+			// Until the run's first save the interval is 0, so every
+			// worker merges its first shard then; after it, a worker
+			// merges once an interval has passed since it started or
+			// last merged.
+			lastMerge := time.Now()
 		claim:
 			for {
 				if cfg.Stop != nil {
 					select {
 					case <-cfg.Stop:
-						// Drain requested: claim nothing new, merge what
-						// is done; the final save below persists it.
+						// Drain requested: claim nothing new; the batch is
+						// merged and saved once every worker has stopped.
 						break claim
 					default:
 					}
@@ -749,26 +810,32 @@ func (r *Router) VerifyFullRoutingCheckpointed(workers int, cfg CheckpointConfig
 				}
 				span := r.Obs.startSpan("shard_enumerate")
 				span.SetAttr("shard", strconv.FormatInt(shard, 10))
-				r.scanRange(w, workers, rowLo, rowHi, &earliestErr, &ws)
+				r.scanRange(w, workers, rowLo, rowHi, &earliestErr, ws)
 				span.SetAttr("paths", strconv.FormatInt(ws.numPaths, 10))
 				span.End()
 				if ws.err != nil || ws.cancelled {
 					// The vectors now hold part of this shard on top of
 					// the batch, so neither may merge: the batch's shards
-					// stay pending and the state is dropped with the
-					// worker. Every shard left to claim lies after the
-					// published error, so the worker has nothing more to do.
+					// stay pending and the state is dropped. Every shard
+					// left to claim lies after the published error, so
+					// the worker has nothing more to do.
 					mu.Lock()
 					if ws.err != nil && ws.errPos < firstPos {
 						firstPos, firstErr = ws.errPos, ws.err
 					}
 					mu.Unlock()
+					*ws, *batch = workerState{}, shardBatch{}
 					return
 				}
-				batch.add(shard, &ws)
+				batch.add(shard, ws)
+				var mspan *obs.Span
+				due := time.Since(lastMerge) >= interval()
+				if due {
+					mspan = startMerge(batch, ws)
+				}
 				mu.Lock()
-				if lastMerge.IsZero() || time.Since(lastMerge) >= interval() {
-					merge(&batch, &ws)
+				if due {
+					merge(batch, ws, mspan)
 					lastMerge = time.Now()
 				}
 				completed++
@@ -781,15 +848,39 @@ func (r *Router) VerifyFullRoutingCheckpointed(workers int, cfg CheckpointConfig
 				}
 				mu.Unlock()
 			}
-			if len(batch.shards) > 0 {
-				mu.Lock()
-				merge(&batch, &ws)
-				mu.Unlock()
-			}
 		}(w)
 	}
 	wg.Wait()
 
+	// Every worker has stopped and kept its unmerged batch. One fan pass
+	// over their summed weights, split across them, completes the
+	// batches together; each is merged as its share finishes, and the
+	// checkpoint is saved only once all are in, when it is exact again.
+	var kept []int
+	for w := range batches {
+		if len(batches[w].shards) > 0 {
+			kept = append(kept, w)
+		} else {
+			states[w] = workerState{}
+		}
+	}
+	splitFans(states, kept)
+	var fwg sync.WaitGroup
+	for _, w := range kept {
+		fwg.Add(1)
+		go func(w int) {
+			defer fwg.Done()
+			var span *obs.Span
+			asWorker(w, func() { span = startMerge(&batches[w], &states[w]) })
+			mu.Lock()
+			cp.merge(&batches[w], &states[w])
+			span.End()
+			dirty = true
+			mu.Unlock()
+			states[w] = workerState{} // release the vectors
+		}(w)
+	}
+	fwg.Wait()
 	if dirty {
 		save()
 	}

@@ -5,6 +5,7 @@ package routing
 // rejection, pause semantics, and deterministic error reporting.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -473,5 +474,119 @@ func TestCheckpointAllocsFlatInShards(t *testing.T) {
 					fewShards, few, manyShards, many, per)
 			}
 		})
+	}
+}
+
+// TestFanWalksFlatInShards pins that the checkpointed engine walks each
+// junction's fan once per merge, not once per shard. With the save
+// interval raised past the run, a Strassen k=4 run on two workers
+// merges at most each worker's first shard before the end, and the
+// final pass walks each of the 2·n₀ᵏ keys once, so the run walks at
+// most 2·n₀ᵏ fans plus one shard's keys per worker at any shard size.
+// Walking the fans per shard took 512 walks at ShardRows 1.
+func TestFanWalksFlatInShards(t *testing.T) {
+	defer func(d time.Duration) { saveIntervalFloor = d }(saveIntervalFloor)
+	saveIntervalFloor = time.Hour
+	const workers = 2
+	r := mustRouter(t, bilinear.Strassen(), 4) // 512 rows, 16 keys a side
+	r.OrbitReduction = true
+	want, err := r.VerifyFullRoutingParallel(workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Elapsed = 0
+	for _, shardRows := range []int64{1, 4, 64} {
+		r.fanWalks.Store(0)
+		st, err := r.VerifyFullRoutingCheckpointed(workers, CheckpointConfig{
+			Path: filepath.Join(t.TempDir(), "run.ckpt"), ShardRows: shardRows,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Elapsed = 0
+		if st != want {
+			t.Fatalf("shardRows=%d: checkpointed %+v, plain %+v", shardRows, st, want)
+		}
+		bound := 2*r.powN[r.k] + workers*maxShardKeys(r, shardRows)
+		walks := r.fanWalks.Load()
+		t.Logf("shardRows=%d: %d fan walks, bound %d", shardRows, walks, bound)
+		if walks > bound {
+			t.Fatalf("shardRows=%d: %d fan walks, want at most %d", shardRows, walks, bound)
+		}
+	}
+}
+
+// maxShardKeys is the most distinct junction keys — a side with the
+// column digits j of a_ij, or the row digits i of b_ij — that the rows
+// of one shard carry.
+func maxShardKeys(r *Router, shardRows int64) int64 {
+	plan := r.shardPlan(shardRows)
+	n0 := int64(r.n0)
+	var most int64
+	for lo := int64(0); lo < plan.rows; lo += plan.shardRows {
+		keys := make(map[[2]int64]bool)
+		for row := lo; row < min(lo+plan.shardRows, plan.rows); row++ {
+			side, in := r.rowOf(row)
+			var key int64
+			for p := r.k - 1; p >= 0; p-- {
+				d := in / r.powA[p] % r.a // i·n₀ + j
+				if side == bilinear.SideA {
+					key = key*n0 + d%n0
+				} else {
+					key = key*n0 + d/n0
+				}
+			}
+			keys[[2]int64{int64(side), key}] = true
+		}
+		most = max(most, int64(len(keys)))
+	}
+	return most
+}
+
+// TestCheckpointFileSameAtAnyWorkers pins that how the final fan pass
+// splits the keys cannot reach a saved file: complete and paused
+// checkpoints of one shard size are byte-identical at 1, 2 and 3
+// workers (3 split the keys unevenly), and the complete one holds the
+// plain run's hit vector.
+func TestCheckpointFileSameAtAnyWorkers(t *testing.T) {
+	r := mustRouter(t, bilinear.Strassen(), 4)
+	r.OrbitReduction = true
+	_, wantHits, err := r.VerifyFullRoutingHits(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shardRows := range []int64{4, 64} {
+		for _, maxShards := range []int64{0, 5} {
+			var first []byte
+			for _, w := range []int{1, 2, 3} {
+				path := filepath.Join(t.TempDir(), "run.ckpt")
+				_, err := r.VerifyFullRoutingCheckpointed(w, CheckpointConfig{
+					Path: path, ShardRows: shardRows, MaxShards: maxShards,
+				})
+				if maxShards > 0 && !errors.Is(err, ErrPaused) || maxShards == 0 && err != nil {
+					t.Fatalf("shardRows=%d maxShards=%d workers=%d: %v", shardRows, maxShards, w, err)
+				}
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if first == nil {
+					first = data
+					if maxShards == 0 {
+						cp, err := decodeCheckpoint(data)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := diffHits(cp.Hits, wantHits); err != nil {
+							t.Fatalf("shardRows=%d: checkpoint hits: %v", shardRows, err)
+						}
+					}
+					continue
+				}
+				if !bytes.Equal(data, first) {
+					t.Fatalf("shardRows=%d maxShards=%d: the file at %d workers differs from the one at 1", shardRows, maxShards, w)
+				}
+			}
+		}
 	}
 }

@@ -29,6 +29,15 @@ package routing
 // the first sum, keeping stage 2's incremental odometer over the fixed
 // digits; the fan pass walks each used fan once, weighted by w_b.
 //
+// Deferred fan passes. The second sum is linear in the weights, so
+// ranges add: a state that scans several ranges can sum their weights
+// and walk each fan once for all of them. The plain engine and the
+// per-range tests end every range with a fan pass. The checkpointed
+// engine defers it to the worker's merge (see CheckpointConfig), and
+// when the run ends it sums the stopped workers' weights and splits one
+// pass across them, each key walked by one worker; their vectors then
+// add up to the same exact total.
+//
 // Meta-vertex hits. A path meets meta-vertex ρ iff it visits the root
 // vertex ρ. A copy has one parent, and on a chain the vertex before a
 // copy is its parent, so every chain through a copy passes the copy's
@@ -70,8 +79,83 @@ import (
 	"pathrouting/internal/cdag"
 )
 
+// fanState is the fan kernel's per-worker state, carved from one
+// backing array that the worker allocates on its first fan scan and
+// keeps for the run: the orbit pass's per-slot digits and per-rank
+// prefixes, suffixes, fan counts and layer bases, the fan pass's
+// odometers, then the two sides' cnt tables (a×b each, indexed by the
+// side whose matching routes chain 3; they depend only on the matching,
+// so they are computed once) and the junction-key weights not yet
+// walked (n₀ᵏ keys each).
+type fanState struct {
+	inDig, mBase, jcBase, mDig, jcDig, t1Dig, t2Dig, t3Dig, fixD, xD, oDig []int64
+	t1Pre, t2Pre, t3Pre, p1, p2, inSuf, midSuf, jcSuf                      []int64
+	enc1Root, encRoot, enc1Base, enc3Base, decBase                         []int64
+	cnt, w                                                                 [2][]int64
+}
+
+// initFan returns out's fan state, allocating it on first use.
+func (r *Router) initFan(out *workerState) *fanState {
+	f := &out.fan
+	if f.w[0] != nil {
+		return f
+	}
+	ab, n0K := r.a*r.b, r.powN[r.k]
+	ki, ki1 := int64(r.k), int64(r.k+1)
+	state := make([]int64, 11*ki+13*ki1+2*ab+2*n0K)
+	cut := func(n int64) []int64 {
+		s := state[:n:n]
+		state = state[n:]
+		return s
+	}
+	f.inDig, f.mBase, f.jcBase, f.mDig, f.jcDig = cut(ki), cut(ki), cut(ki), cut(ki), cut(ki)
+	f.t1Dig, f.t2Dig, f.t3Dig, f.fixD, f.xD, f.oDig = cut(ki), cut(ki), cut(ki), cut(ki), cut(ki), cut(ki)
+	f.t1Pre, f.t2Pre, f.t3Pre, f.p1, f.p2 = cut(ki1), cut(ki1), cut(ki1), cut(ki1), cut(ki1)
+	f.inSuf, f.midSuf, f.jcSuf, f.enc1Root, f.encRoot = cut(ki1), cut(ki1), cut(ki1), cut(ki1), cut(ki1)
+	f.enc1Base, f.enc3Base, f.decBase = cut(ki1), cut(ki1), cut(ki1)
+	f.cnt = [2][]int64{cut(ab), cut(ab)}
+	f.w = [2][]int64{cut(n0K), cut(n0K)}
+	f.p1[0], f.p2[0] = 1, 1
+	n0 := int64(r.n0)
+	for s, match := range [2][]int{r.BM.matchA, r.BM.matchB} {
+		for e := int64(0); e < r.a; e++ {
+			for x := int64(0); x < n0; x++ {
+				o := e - e%n0 + x // side A: same row digit as e
+				if s == 1 {
+					o = x*n0 + e%n0 // side B: same column digit
+				}
+				if t := match[e*r.a+o]; t >= 0 {
+					f.cnt[s][e*r.b+int64(t)]++
+				}
+			}
+		}
+	}
+	return f
+}
+
+// creditW credits w paths at v and at v's root, without the per-orbit
+// stamp, for vertices whose own-root positions each path meets once:
+// the fans' vertices, and chain 1's encoding vertices, whose roots no
+// other chain of the orbit reaches. It returns the root, which must be
+// v or prevRoot, the root of v's chain predecessor (-1 at a chain's
+// first vertex).
+func (s *workerState) creditW(metaRoots []cdag.V, v, prevRoot cdag.V, w int64) cdag.V {
+	s.hits[v] += w
+	root := metaRoots[v]
+	if root == v {
+		s.metaHits[v] += w
+	} else if root != prevRoot {
+		panic(errCopyRoot)
+	}
+	return root
+}
+
 // scanRowsFan verifies rows [rowLo, rowHi) as scanRows does, with the
-// same accumulators, emit cadence and statistics.
+// same accumulators, emit cadence and statistics. The orbit pass adds
+// each row's junction-key weight to out's fan state; the range ends
+// with a fan pass, so its hits are then exact, unless out.deferFan is
+// set: the checkpointed engine lets the weights of many ranges add up
+// and runs fanPass when it merges them.
 func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *atomic.Int64, out *workerState) {
 	g := r.G
 	k := r.k
@@ -109,40 +193,12 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 	metaRoots := g.MetaRoots()
 	ps := r.newPathScratch()
 	full := make([]cdag.V, 0, wantLen) // sampled paths, materialized whole
-
-	// All kernel state in one backing array: per-slot digits, per-rank
-	// prefixes, suffixes, fan counts and layer bases, then the two
-	// sides' cnt tables (a×b each, indexed by the side whose matching
-	// routes chain 3) and row weights (n₀ᵏ keys each).
-	ab := r.a * r.b
-	ki, ki1 := int64(k), int64(k+1)
-	state := make([]int64, 11*ki+13*ki1+2*ab+2*n0K)
-	cut := func(n int64) []int64 {
-		s := state[:n:n]
-		state = state[n:]
-		return s
-	}
-	inDig, mBase, jcBase, mDig, jcDig := cut(ki), cut(ki), cut(ki), cut(ki), cut(ki)
-	t1Dig, t2Dig, t3Dig, fixD, xD, oDig := cut(ki), cut(ki), cut(ki), cut(ki), cut(ki), cut(ki)
-	t1Pre, t2Pre, t3Pre, p1, p2 := cut(ki1), cut(ki1), cut(ki1), cut(ki1), cut(ki1)
-	inSuf, midSuf, jcSuf, enc1Root, encRoot := cut(ki1), cut(ki1), cut(ki1), cut(ki1), cut(ki1)
-	enc1Base, enc3Base, decBase := cut(ki1), cut(ki1), cut(ki1)
-	cnt := [2][]int64{cut(ab), cut(ab)}
-	weight := [2][]int64{cut(n0K), cut(n0K)}
-	p1[0], p2[0] = 1, 1
-	for s, match := range [2][]int{r.BM.matchA, r.BM.matchB} {
-		for e := int64(0); e < r.a; e++ {
-			for x := int64(0); x < n0; x++ {
-				o := e - e%n0 + x // side A: same row digit as e
-				if s == 1 {
-					o = x*n0 + e%n0 // side B: same column digit
-				}
-				if t := match[e*r.a+o]; t >= 0 {
-					cnt[s][e*r.b+int64(t)]++
-				}
-			}
-		}
-	}
+	fan := r.initFan(out)
+	inDig, mBase, jcBase, mDig, jcDig := fan.inDig, fan.mBase, fan.jcBase, fan.mDig, fan.jcDig
+	t1Dig, t2Dig := fan.t1Dig, fan.t2Dig
+	t1Pre, t2Pre, p1, p2 := fan.t1Pre, fan.t2Pre, fan.p1, fan.p2
+	inSuf, midSuf, jcSuf, enc1Root := fan.inSuf, fan.midSuf, fan.jcSuf, fan.enc1Root
+	enc1Base, enc3Base, decBase := fan.enc1Base, fan.enc3Base, fan.decBase
 
 	// stamp/serial: stage 1's epoch-stamped "already counted for every
 	// member of this orbit" test. Both live in out for the whole run:
@@ -163,20 +219,6 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 				stamp[v] = serial
 				out.metaHits[v] += n0K - f
 			}
-		} else if root != prevRoot {
-			panic(errCopyRoot)
-		}
-		return root
-	}
-	// creditW is credit for w paths without the per-orbit stamp, for
-	// vertices whose own-root positions each path meets once: the fans'
-	// vertices, and chain 1's encoding vertices, whose roots no other
-	// chain of the orbit reaches.
-	creditW := func(v, prevRoot cdag.V, w int64) cdag.V {
-		out.hits[v] += w
-		root := metaRoots[v]
-		if root == v {
-			out.metaHits[v] += w
 		} else if root != prevRoot {
 			panic(errCopyRoot)
 		}
@@ -236,7 +278,7 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 			kind3, match3 = cdag.EncA, r.BM.matchA
 			s3 = 0
 		}
-		cnt3 := cnt[s3]
+		cnt3 := fan.cnt[s3]
 		for j := 0; j <= k; j++ {
 			enc1Base[j] = int64(g.LayerBase(kind1, j))
 			enc3Base[j] = int64(g.LayerBase(kind3, j))
@@ -261,7 +303,7 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 				key = key*n0 + ps.iD[l]
 			}
 		}
-		weight[s3][key]++
+		fan.w[s3][key]++
 		for j := 1; j <= k; j++ {
 			inSuf[j] = inDig[k-j]*r.powA[j-1] + inSuf[j-1]
 		}
@@ -270,7 +312,7 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 		// once for all of them, like a fan's encoding ranks. F_b is 0
 		// there: chain 3 never enters this encoding graph. Rank 0, the
 		// input, is shared by the whole row.
-		enc1Root[0] = int64(creditW(cdag.V(enc1Base[0]+inSuf[k]), -1, n0K*n0K))
+		enc1Root[0] = int64(out.creditW(metaRoots, cdag.V(enc1Base[0]+inSuf[k]), -1, n0K*n0K))
 
 		// Fixed-digit odometer; slots l0..k-1 changed since the last
 		// orbit.
@@ -296,7 +338,7 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 				p1[j] = p1[j-1] * cnt3[jcDig[j-1]*r.b+t1Dig[j-1]]
 				p2[j] = p2[j-1] * cnt3[jcDig[j-1]*r.b+t2Dig[j-1]]
 				v := cdag.V(enc1Base[j] + t1Pre[j]*r.powA[k-j] + inSuf[k-j])
-				enc1Root[j] = int64(creditW(v, cdag.V(enc1Root[j-1]), n0K*r.powN[k-j]))
+				enc1Root[j] = int64(out.creditW(metaRoots, v, cdag.V(enc1Root[j-1]), n0K*r.powN[k-j]))
 			}
 			for j := 1; j <= k; j++ {
 				midSuf[j] = mDig[k-j]*r.powA[j-1] + midSuf[j-1]
@@ -329,12 +371,31 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 			}
 		}
 	}
+	if !out.deferFan {
+		r.fanPass(out)
+	}
+}
 
-	// Fan pass: each junction the range's rows reach, walked once and
-	// credited with its weight. Fans routed by matchB (side-A rows) have
-	// junction digits key·n₀ + fixed and outputs fixed + x·n₀; fans
-	// routed by matchA (side-B rows) the mirror image. Every odometer
-	// below wraps back to all zeros, ready for its next use.
+// fanPass credits every junction key out has weighted since its last
+// fan pass: each key's fan is walked once, credited with the key's
+// weight, and the weight is zeroed, leaving out's vectors the exact
+// hits of every row scanned into them. Fans routed by matchB (side-A
+// rows) have junction digits key·n₀ + fixed and outputs fixed + x·n₀;
+// fans routed by matchA (side-B rows) the mirror image. Every odometer
+// below wraps back to all zeros, ready for its next use. A state the
+// fan kernel never scanned into has nothing to walk.
+func (r *Router) fanPass(out *workerState) {
+	fan := &out.fan
+	if fan.w[0] == nil {
+		return
+	}
+	g := r.G
+	k := r.k
+	n0 := int64(r.n0)
+	metaRoots := g.MetaRoots()
+	jcBase, jcDig, jcSuf, fixD, xD, oDig := fan.jcBase, fan.jcDig, fan.jcSuf, fan.fixD, fan.xD, fan.oDig
+	t3Dig, t3Pre, encRoot, enc3Base, decBase := fan.t3Dig, fan.t3Pre, fan.encRoot, fan.enc3Base, fan.decBase
+	var walked int64
 	for s3 := 0; s3 < 2; s3++ {
 		kind3, match3 := cdag.EncA, r.BM.matchA
 		fixedScale, freeScale := n0, int64(1)
@@ -346,10 +407,12 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 			enc3Base[j] = int64(g.LayerBase(kind3, j))
 			decBase[j] = int64(g.LayerBase(cdag.Dec, j))
 		}
-		for key, wt := range weight[s3] {
+		for key, wt := range fan.w[s3] {
 			if wt == 0 {
 				continue
 			}
+			fan.w[s3][key] = 0
+			walked++
 			for l, kk := k-1, int64(key); l >= 0; l, kk = l-1, kk/n0 {
 				jcBase[l] = kk % n0 * freeScale
 			}
@@ -379,7 +442,7 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 					for j := l0 + 1; j <= k; j++ {
 						t3Pre[j] = t3Pre[j-1]*r.b + t3Dig[j-1]
 						v := cdag.V(enc3Base[j] + t3Pre[j]*r.powA[k-j] + jcSuf[k-j])
-						encRoot[j] = int64(creditW(v, cdag.V(encRoot[j-1]), wt*r.powN[k-j]))
+						encRoot[j] = int64(out.creditW(metaRoots, v, cdag.V(encRoot[j-1]), wt*r.powN[k-j]))
 					}
 					// The product (decoding rank 0) and decoding ranks
 					// 1..k, once per chain.
@@ -389,12 +452,13 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 						if j > 0 {
 							oSuf += oDig[k-j] * r.powA[j-1]
 						}
-						root = creditW(cdag.V(decBase[j]+t3Pre[k-j]*r.powA[j]+oSuf), root, wt)
+						root = out.creditW(metaRoots, cdag.V(decBase[j]+t3Pre[k-j]*r.powA[j]+oSuf), root, wt)
 					}
 				}
 			}
 		}
 	}
+	r.fanWalks.Add(walked)
 }
 
 // errCopyRoot is the panic when a copy's meta root is not its chain

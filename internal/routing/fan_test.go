@@ -69,6 +69,71 @@ func TestFanRangesMatchScanRows(t *testing.T) {
 	}
 }
 
+// TestDeferredFanMatchesRanges pins the checkpointed engine's use of
+// the kernel: two disjoint row ranges scanned into one state that
+// defers its fan pass, then one fanPass, must leave the accumulators of
+// scanRows over both ranges. The ranges are scanned out of order, and
+// one pair straddles the side boundary, so both sides' keys add up.
+func TestDeferredFanMatchesRanges(t *testing.T) {
+	var routers []*Router
+	for _, c := range kernelCatalog() {
+		for k := 1; k <= c.maxK; k++ {
+			routers = append(routers, mustRouter(t, c.alg, k))
+		}
+	}
+	routers = append(routers, mustRouter(t, bilinear.Strassen(), 4))
+	var none atomic.Int64
+	none.Store(math.MaxInt64)
+	for _, r := range routers {
+		rows, aK := r.numRows(), r.powA[r.k]
+		for _, pair := range [][2][2]int64{
+			{{0, aK / 2}, {aK - 1, rows}},
+			{{rows - 2, rows - 1}, {1, 2}},
+		} {
+			var want, got workerState
+			got.deferFan = true
+			var wantT, gotT [3]int64 // paths, total hits, adjacency checks
+			var scanned int64
+			for _, rg := range pair {
+				r.scanRows(0, 1, rg[0], rg[1], &none, &want)
+				r.scanRowsFan(0, 1, rg[0], rg[1], &none, &got)
+				if want.err != nil || got.err != nil {
+					t.Fatalf("%s k=%d rows %v: scanRows error %v, fan error %v", r.G.Alg.Name, r.k, rg, want.err, got.err)
+				}
+				wantT[0], wantT[1], wantT[2] = wantT[0]+want.numPaths, wantT[1]+want.totalHits, wantT[2]+want.adjChecked
+				gotT[0], gotT[1], gotT[2] = gotT[0]+got.numPaths, gotT[1]+got.totalHits, gotT[2]+got.adjChecked
+				scanned += rg[1] - rg[0]
+			}
+			var weighted int64
+			for _, ws := range got.fan.w {
+				for _, wt := range ws {
+					weighted += wt
+				}
+			}
+			if weighted != scanned {
+				t.Fatalf("%s k=%d ranges %v: %d rows weighted before the fan pass, want %d", r.G.Alg.Name, r.k, pair, weighted, scanned)
+			}
+			r.fanPass(&got)
+			if gotT != wantT {
+				t.Fatalf("%s k=%d ranges %v: paths, total hits, adjacency checks %v; scanRows %v", r.G.Alg.Name, r.k, pair, gotT, wantT)
+			}
+			if err := diffHits(got.hits, want.hits); err != nil {
+				t.Fatalf("%s k=%d ranges %v hits: %v", r.G.Alg.Name, r.k, pair, err)
+			}
+			if err := diffHits(got.metaHits, want.metaHits); err != nil {
+				t.Fatalf("%s k=%d ranges %v meta hits: %v", r.G.Alg.Name, r.k, pair, err)
+			}
+			for _, ws := range got.fan.w {
+				for key, wt := range ws {
+					if wt != 0 {
+						t.Fatalf("%s k=%d: key %d keeps weight %d after the fan pass", r.G.Alg.Name, r.k, key, wt)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFanReportsScanRowsFirstError: at stride 1 the fan kernel checks
 // every path as scanRows does, in the same order within a row, so on a
 // corrupted routing it reports scanRows's first error at any worker

@@ -8,12 +8,17 @@ package routing
 // kernel produce bit-identical Stats — and per-vertex hit vectors
 // equal to a ForEachPairPath count — across depths, worker counts, and
 // adjacency sample strides, and that on one random row range the fan
-// kernel's accumulators equal scanRows's. Under plain `go test` only
+// kernel's accumulators equal scanRows's, and so do those of a
+// checkpointed fan-kernel run at a random shard size and worker count.
+// Under plain `go test` only
 // the seed corpus runs; `go test -fuzz=FuzzOrbitStatsEquivalence`
 // explores further.
 
 import (
+	"math"
 	"math/rand"
+	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"pathrouting/internal/bilinear"
@@ -81,6 +86,30 @@ func FuzzOrbitStatsEquivalence(f *testing.F) {
 		lo := rng.Int63n(rows)
 		if err := scanRangeDiff(r, lo, lo+1+rng.Int63n(rows-lo)); err != nil {
 			t.Fatalf("fan range (k=%d stride=%d): %v", k, stride, err)
+		}
+		// The checkpointed engine defers the fan passes to its merges and
+		// splits the last one across its workers; the file must hold
+		// scanRows's vectors all the same.
+		shardRows, ckptWorkers := 1+rng.Int63n(rows), 1+rng.Intn(3)
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		if _, err := orbitRouter(t, r, false).VerifyFullRoutingCheckpointed(ckptWorkers, CheckpointConfig{
+			Path: path, ShardRows: shardRows,
+		}); err != nil {
+			t.Fatalf("checkpointed (shardRows=%d workers=%d): %v", shardRows, ckptWorkers, err)
+		}
+		cp, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var all workerState
+		var none atomic.Int64
+		none.Store(math.MaxInt64)
+		r.scanRows(0, 1, 0, rows, &none, &all)
+		if err := diffHits(cp.Hits, all.hits); err != nil {
+			t.Fatalf("checkpointed hits (k=%d shardRows=%d workers=%d): %v", k, shardRows, ckptWorkers, err)
+		}
+		if err := diffHits(cp.MetaHits, all.metaHits); err != nil {
+			t.Fatalf("checkpointed meta hits (k=%d shardRows=%d workers=%d): %v", k, shardRows, ckptWorkers, err)
 		}
 	})
 }

@@ -85,16 +85,18 @@ func (r *Router) VerifyFullRoutingHits(workers int) (Stats, []int64, error) {
 // the per-path accumulation a bounds-checked array add instead of a
 // map operation, and is the form the checkpoint merges and stores.
 //
-// The vectors, the orbit kernels' stamp vector and its serial, and the
-// progress peak live for the whole run: the checkpointed engine scans
-// many shards into one state, and its merge adds the vectors into the
-// checkpoint and zeroes them. The tallies below them are per row range
-// and reset by begin.
+// The vectors, the orbit kernels' stamp vector and its serial, the fan
+// kernel's state and the progress peak live for the whole run: the
+// checkpointed engine scans many shards into one state, and its merge
+// adds the vectors into the checkpoint and zeroes them. The tallies
+// below them are per row range and reset by begin.
 type workerState struct {
 	hits     hitVec
 	metaHits hitVec
 	stamp    []int64 // orbit kernels: serial of the last orbit to credit each root
 	serial   int64
+	fan      fanState  // the fan kernel's state and unwalked junction-key weights
+	deferFan bool      // leave fan passes to the caller (see scanRowsFan)
 	peak     int64     // running max of hits (for Progress)
 	lastPeak time.Time // when the fan and stage-1 kernels last recomputed peak
 
@@ -337,7 +339,7 @@ func (r *Router) scanRange(w, workers int, rowLo, rowHi int64, earliestErr *atom
 	if in := r.Obs; in != nil {
 		defer in.ShardEnumerate.ObserveSince(time.Now())
 	}
-	pprof.Do(context.Background(), pprof.Labels("worker", strconv.Itoa(w)), func(context.Context) {
+	asWorker(w, func() {
 		if r.OrbitReduction && !r.SeedEnumeration {
 			if r.OrbitStage1 {
 				r.scanRowsOrbit(w, workers, rowLo, rowHi, earliestErr, out)
@@ -348,6 +350,11 @@ func (r *Router) scanRange(w, workers int, rowLo, rowHi int64, earliestErr *atom
 			r.scanRows(w, workers, rowLo, rowHi, earliestErr, out)
 		}
 	})
+}
+
+// asWorker runs fn under worker w's pprof label.
+func asWorker(w int, fn func()) {
+	pprof.Do(context.Background(), pprof.Labels("worker", strconv.Itoa(w)), func(context.Context) { fn() })
 }
 
 // verifyFullRouting is the engine behind VerifyFullRouting (workers=1)

@@ -195,12 +195,13 @@ type Router struct {
 	// fixed output coordinate, on which two of the three Lemma 4 chains
 	// are pointwise constant — into one weighted credit of the shared
 	// chains, and credit each junction's fan of varying chains once per
-	// row range, weighted by the orbits that use it: O(chains) work
-	// instead of O(paths). The resulting Stats, hit vectors and
-	// per-range contributions are bit-identical to full enumeration at
-	// any k (see fan.go for the exactness argument); only wall-clock
-	// time changes. SeedEnumeration takes precedence when both are set,
-	// keeping the seed ablation a pure baseline.
+	// row range (in the checkpointed engine, once per merge), weighted
+	// by the orbits that use it: O(chains) work instead of O(paths).
+	// The resulting Stats, hit vectors and per-range contributions are
+	// bit-identical to full enumeration at any k (see fan.go for the
+	// exactness argument); only wall-clock time changes.
+	// SeedEnumeration takes precedence when both are set, keeping the
+	// seed ablation a pure baseline.
 	OrbitReduction bool
 	// OrbitStage1 restores the stage-1 orbit kernel — shared chains
 	// rebuilt per orbit through the division-heavy AppendChain and the
@@ -225,6 +226,9 @@ type Router struct {
 	// it claims a shard and before it scans it. Tests use it to publish
 	// an error position as a concurrent worker would.
 	beforeShard func(shard int64, earliestErr *atomic.Int64)
+	// fanWalks counts the junction fans the fan kernel has walked, for
+	// tests that pin how often the checkpointed engine walks them.
+	fanWalks atomic.Int64
 
 	k    int
 	n0   int

@@ -302,8 +302,12 @@ type Options struct {
 	// (default: GOMAXPROCS / Concurrency, at least 1), so Concurrency
 	// tenants share the machine instead of each grabbing every core.
 	JobWorkers int
-	// MaxK rejects submissions beyond this recursion depth (default 6:
-	// k=7 enumeration is the distributed roadmap item, not one box).
+	// MaxK rejects submissions beyond this recursion depth (default 6).
+	// One box verifies k=7: a checkpointed Strassen k=7 job takes
+	// seconds on 2 cores, but holds about 0.6 GB, three vertex-length
+	// int64 vectors per worker plus the checkpoint's two, against about
+	// 90 MB at k=6. The default stays at 6 until it is derived from a
+	// memory budget.
 	MaxK int
 	// Registry receives the service and engine metrics (one is created
 	// if nil; reuse the daemon's so /metrics shows everything).
