@@ -8,11 +8,12 @@ ROUTED_DIR ?= .routed-smoke
 .PHONY: verify build test vet vet386 race bench-routing bench bench-diff bench-smoke fuzz-smoke verify-resume obs-smoke routed-smoke
 
 # Routing benchmarks: the adjacency-index and parallel-verification
-# suites plus the A9 enumeration-kernel ablation, the A10 orbit
-# reduction, and the A11 stage-1/default orbit kernel comparison;
-# -benchmem adds the B/op and allocs/op columns the kernel work is
-# judged by.
-BENCH_PATTERN = BenchmarkVerifyFullRoutingAdjacency|BenchmarkA7ParallelVerification|BenchmarkA9EnumerationKernel|BenchmarkA10OrbitReduction|BenchmarkA11StageTwoKernel
+# suites and the A10 full/fan comparison, with -benchmem's B/op and
+# allocs/op columns. They run at GOMAXPROCS BENCH_CPU on every host:
+# go test appends -P to names when P ≠ 1, and benchjson matches names
+# and refuses a baseline recorded at another GOMAXPROCS.
+BENCH_PATTERN = BenchmarkVerifyFullRoutingAdjacency|BenchmarkA7ParallelVerification|BenchmarkA10OrbitReduction
+BENCH_CPU = 1
 
 verify: vet test race vet386
 
@@ -47,7 +48,7 @@ race:
 	$(GO) test -race -run 'SweepM' ./internal/pebble/...
 
 bench-routing:
-	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime 5x -benchmem .
+	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -cpu $(BENCH_CPU) -benchtime 5x -benchmem .
 
 # Machine-readable routing benchmark results (paths/s and allocation
 # columns next to ns/op), via the stdlib-only converter in
@@ -56,7 +57,7 @@ bench-routing:
 # fails.
 bench:
 	@set -e; trap 'rm -f bench_routing.out' EXIT; \
-	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime 5x -benchmem . > bench_routing.out; \
+	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -cpu $(BENCH_CPU) -benchtime 5x -benchmem . > bench_routing.out; \
 	$(GO) run ./cmd/benchjson -o BENCH_routing.json < bench_routing.out
 
 # Benchmark regression diff: rerun the routing suite and compare the
@@ -74,7 +75,7 @@ bench:
 BENCH_TOLERANCE ?= 25
 bench-diff:
 	@set -e; trap 'rm -f bench_diff.out bench_diff.benchjson' EXIT; \
-	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime 5x -benchmem . > bench_diff.out; \
+	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -cpu $(BENCH_CPU) -benchtime 5x -benchmem . > bench_diff.out; \
 	$(GO) build -o bench_diff.benchjson ./cmd/benchjson; \
 	st=0; ./bench_diff.benchjson -baseline BENCH_routing.json -tolerance $(BENCH_TOLERANCE) -hard allocs/op < bench_diff.out || st=$$?; \
 	if [ $$st -eq 3 ]; then echo "bench-diff: WARNING: soft (wall-clock) metric past $(BENCH_TOLERANCE)% — not failing the gate"; st=0; fi; \

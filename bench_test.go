@@ -1,7 +1,7 @@
 package pathrouting
 
 // Benchmark harness: one benchmark per experiment of EXPERIMENTS.md
-// (E1–E12, plus ablations A1–A9). The paper has no empirical tables —
+// (E1–E12, plus ablations A1–A8 and A10). The paper has no empirical tables —
 // its checkable content is the set of theorems, lemmas and figures — so
 // each benchmark both
 // times the operation and reports the reproduction metric (measured /
@@ -571,11 +571,9 @@ func BenchmarkA7ParallelVerification(b *testing.B) {
 	})
 }
 
-// BenchmarkVerifyFullRoutingAdjacency isolates what the CSR adjacency
-// index buys the verification hot path: full (stride 1) edge-by-edge
-// adjacency checking of every pair path, answered either by the index
-// or by the seed's per-edge linear scan over freshly enumerated parent
-// slices.
+// BenchmarkVerifyFullRoutingAdjacency measures the verification hot
+// path with full (stride 1) edge-by-edge adjacency checking of every
+// pair path through the CSR adjacency index.
 func BenchmarkVerifyFullRoutingAdjacency(b *testing.B) {
 	g, err := cdag.New(bilinear.Strassen(), 3)
 	if err != nil {
@@ -587,38 +585,26 @@ func BenchmarkVerifyFullRoutingAdjacency(b *testing.B) {
 	}
 	r.AdjacencySampleStride = 1
 	g.EnsureAdjacencyIndex() // pay the one-time build outside the timer
-	for _, tc := range []struct {
-		name   string
-		linear bool
-	}{
-		{"csr", false},
-		{"linear-scan", true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			r.LinearAdjacency = tc.linear
-			var st routing.Stats
-			for i := 0; i < b.N; i++ {
-				var err error
-				st, err = r.VerifyFullRouting()
-				if err != nil {
-					b.Fatal(err)
-				}
+	b.Run("csr", func(b *testing.B) {
+		var st routing.Stats
+		for i := 0; i < b.N; i++ {
+			var err error
+			st, err = r.VerifyFullRouting()
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(st.PathsPerSecond(), "paths/s")
-		})
-	}
-	r.LinearAdjacency = false
-	r.AdjacencySampleStride = 0
+		}
+		b.ReportMetric(st.PathsPerSecond(), "paths/s")
+	})
 }
 
 // BenchmarkA10OrbitReduction measures the orbit-reduced full-routing
 // scan against full enumeration at Strassen k=4: same bit-identical
 // Stats, but instead of three chain constructions plus a quadratic
-// meta-root dedup scan per path, the default orbit kernel credits each
-// shared chain once per orbit and each junction's fan once per row
-// range. Run via `make bench`; EXPERIMENTS.md A10 holds the table
-// measured with the original (stage-1) orbit kernel, A15 the current
-// one.
+// meta-root dedup scan per path, the fan kernel credits each shared
+// chain once per orbit and each junction's fan once per row range. Run
+// via `make bench`; EXPERIMENTS.md A10 holds the table measured with
+// the retired stage-1 orbit kernel, A15 the fan kernel's.
 func BenchmarkA10OrbitReduction(b *testing.B) {
 	g, err := cdag.New(bilinear.Strassen(), 4)
 	if err != nil {
@@ -639,99 +625,6 @@ func BenchmarkA10OrbitReduction(b *testing.B) {
 			b.Run("mode="+mode.name+"/workers="+itoa(w), func(b *testing.B) {
 				r.OrbitReduction = mode.orbits
 				defer func() { r.OrbitReduction = false }()
-				b.ReportAllocs()
-				var st routing.Stats
-				for i := 0; i < b.N; i++ {
-					var err error
-					st, err = r.VerifyFullRoutingParallel(w)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(st.PathsPerSecond(), "paths/s")
-			})
-		}
-	}
-}
-
-// BenchmarkA11StageTwoKernel compares the orbit kernels at Strassen
-// k=4: stage 1 rebuilds both shared chains per orbit through the
-// division-heavy AppendChain and synthesizes chain 3 per member; the
-// default kernel (internal/routing/fan.go) maintains the shared chains
-// incrementally across the fixed-digit odometer and credits each
-// junction's fan of chain-3 chains once per row range. The leg named
-// kernel=stage2 now measures that default kernel: the stage-2 kernel
-// it was named for is gone, and the name stays so `make bench-diff`
-// still overlaps BENCH_routing.json until ROADMAP item 2 re-records
-// it. Stats are bit-identical (TestOrbitStatsBitIdentical is the gate);
-// this measures the throughput gap. Run via `make bench`;
-// EXPERIMENTS.md A11 and A15 hold the measured tables.
-func BenchmarkA11StageTwoKernel(b *testing.B) {
-	g, err := cdag.New(bilinear.Strassen(), 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := routing.NewRouter(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r.OrbitReduction = true
-	defer func() { r.OrbitReduction = false }()
-	for _, kernel := range []struct {
-		name   string
-		stage1 bool
-	}{
-		{"stage1", true},
-		{"stage2", false},
-	} {
-		for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
-			b.Run("kernel="+kernel.name+"/workers="+itoa(w), func(b *testing.B) {
-				r.OrbitStage1 = kernel.stage1
-				defer func() { r.OrbitStage1 = false }()
-				b.ReportAllocs()
-				var st routing.Stats
-				for i := 0; i < b.N; i++ {
-					var err error
-					st, err = r.VerifyFullRoutingParallel(w)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(st.PathsPerSecond(), "paths/s")
-			})
-		}
-	}
-}
-
-// BenchmarkA9EnumerationKernel is the enumeration-kernel ablation: the
-// seed kernel (per-path slice/closure allocations, MetaRoot copy-edge
-// walks, map-based dedup — selected by Router.SeedEnumeration) against
-// the allocation-free scratch kernel, at 1, 2, and GOMAXPROCS workers.
-// With -benchmem the B/op and allocs/op columns show the allocation
-// storm the scratch kernel removes; on a multi-core box the worker
-// sweep shows the parallel scaling the seed kernel's allocator
-// contention destroyed. Run via `make bench` (EXPERIMENTS.md A9 holds
-// the measured table).
-func BenchmarkA9EnumerationKernel(b *testing.B) {
-	g, err := cdag.New(bilinear.Strassen(), 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := routing.NewRouter(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, kernel := range []struct {
-		name string
-		seed bool
-	}{
-		{"seed", true},
-		{"scratch", false},
-	} {
-		for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-			b.Run("kernel="+kernel.name+"/workers="+itoa(w), func(b *testing.B) {
-				r.SeedEnumeration = kernel.seed
-				defer func() { r.SeedEnumeration = false }()
 				b.ReportAllocs()
 				var st routing.Stats
 				for i := 0; i < b.N; i++ {

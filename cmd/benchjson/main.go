@@ -9,12 +9,16 @@
 // `make bench`).
 //
 // The env block records the run header go test prints (goos, goarch,
-// pkg, cpu) plus the converting process's GOMAXPROCS and machine core
-// count, so a baseline records the parallelism it was measured at.
+// pkg, cpu), the GOMAXPROCS the benchmarks ran at and the machine's
+// core count. go test appends "-P" to every benchmark name when it runs
+// at GOMAXPROCS P ≠ 1, so gomaxprocs is that suffix, or 1 where a name
+// has none (a list such as "1,2" when a run mixes them).
 //
 // With -baseline it additionally compares the fresh run against a
 // previously written JSON document and prints a per-benchmark delta
 // table for the regression-sensitive columns (ns/op, B/op, allocs/op).
+// Benchmarks match by full name, so a run at another gomaxprocs than
+// the baseline's cannot be compared and exits 1.
 // A delta worse than -tolerance percent on any of them exits 3 — or 4
 // when the regressed metric is named in -hard, a comma-separated list
 // of metrics whose regressions are hard failures. `make bench-diff`
@@ -35,6 +39,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -97,7 +102,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "benchjson:", err)
 		return 1
 	}
-	doc.Env["gomaxprocs"] = strconv.Itoa(runtime.GOMAXPROCS(0))
 	doc.Env["cores"] = strconv.Itoa(runtime.NumCPU())
 
 	if *out != "" {
@@ -131,6 +135,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 // parse converts `go test -bench` text into a Doc.
 func parse(r io.Reader) (*Doc, error) {
 	doc := &Doc{Env: map[string]string{}}
+	var procs []string
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -151,6 +156,9 @@ func parse(r io.Reader) (*Doc, error) {
 		if err != nil {
 			continue
 		}
+		if p := procsOf(f[0]); !slices.Contains(procs, p) {
+			procs = append(procs, p)
+		}
 		bm := Benchmark{Name: f[0], Iterations: iters, Metrics: map[string]float64{}}
 		for i := 2; i+1 < len(f); i += 2 {
 			v, err := strconv.ParseFloat(f[i], 64)
@@ -167,7 +175,20 @@ func parse(r io.Reader) (*Doc, error) {
 	if len(doc.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark lines on stdin — did the bench run fail?")
 	}
+	doc.Env["gomaxprocs"] = strings.Join(procs, ",")
 	return doc, nil
+}
+
+// procsOf returns the GOMAXPROCS a benchmark ran at, from the "-P"
+// suffix go test appends to its name when P ≠ 1. A sub-benchmark whose
+// own name ends in "-N" reads as run at N; no benchmark here has one.
+func procsOf(name string) string {
+	if i := strings.LastIndexByte(name, '-'); i >= 0 {
+		if p, err := strconv.Atoi(name[i+1:]); err == nil && p > 1 {
+			return name[i+1:]
+		}
+	}
+	return "1"
 }
 
 // regressionMetrics are the columns a baseline compare gates on: for
@@ -189,6 +210,11 @@ func compare(doc *Doc, path string, tol float64, hard map[string]bool, stdout, s
 	var base Doc
 	if err := json.Unmarshal(data, &base); err != nil {
 		fmt.Fprintf(stderr, "benchjson: parse baseline %s: %v\n", path, err)
+		return 1
+	}
+	if want, got := base.Env["gomaxprocs"], doc.Env["gomaxprocs"]; want != "" && want != got {
+		fmt.Fprintf(stderr, "benchjson: this run is at gomaxprocs %s but baseline %s was recorded at gomaxprocs %s; rerun with -cpu %s or re-record the baseline\n",
+			got, path, want, want)
 		return 1
 	}
 	old := make(map[string]Benchmark, len(base.Benchmarks))

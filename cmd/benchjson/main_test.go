@@ -20,6 +20,10 @@ PASS
 ok  	pathrouting	1.234s
 `
 
+// benchOutOneProc is benchOut as go test prints it at GOMAXPROCS 1:
+// no -P suffix on any name.
+var benchOutOneProc = strings.ReplaceAll(benchOut, "-8 ", "   ")
+
 // TestParseBenchOutput: every value/unit pair becomes a metric, and
 // the go test header lands in Env.
 func TestParseBenchOutput(t *testing.T) {
@@ -138,28 +142,55 @@ func TestCompareHardGate(t *testing.T) {
 	}
 }
 
-// TestEnvRecordsParallelism: the converter stamps its GOMAXPROCS and
-// the machine core count into the env block so baselines carry the
-// parallelism they were measured at.
+// TestEnvRecordsParallelism: the env block records the GOMAXPROCS the
+// benchmarks ran at, read from the -P name suffix (1 where names have
+// none, a list where a run mixes them), and the machine core count, so
+// baselines carry the parallelism they were measured at.
 func TestEnvRecordsParallelism(t *testing.T) {
+	mixed := benchOutOneProc + "BenchmarkA7ParallelVerification-2  5  40000000 ns/op\n"
+	for _, c := range []struct{ name, input, want string }{
+		{"suffixed", benchOut, "8"},
+		{"unsuffixed", benchOutOneProc, "1"},
+		{"mixed", mixed, "1,2"},
+	} {
+		base := filepath.Join(t.TempDir(), "base.json")
+		var out, errOut strings.Builder
+		if code := run([]string{"-o", base}, strings.NewReader(c.input), &out, &errOut); code != 0 {
+			t.Fatalf("%s: write run: exit %d", c.name, code)
+		}
+		data, err := os.ReadFile(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc Doc
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		if doc.Env["gomaxprocs"] != c.want {
+			t.Fatalf("%s: env gomaxprocs = %q, want %q", c.name, doc.Env["gomaxprocs"], c.want)
+		}
+		if doc.Env["cores"] != strconv.Itoa(runtime.NumCPU()) {
+			t.Fatalf("%s: env cores = %q", c.name, doc.Env["cores"])
+		}
+	}
+}
+
+// TestCompareRefusesOtherGomaxprocs: a run at another GOMAXPROCS than
+// the baseline's exits 1 with a message naming both values, before any
+// name is matched.
+func TestCompareRefusesOtherGomaxprocs(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "base.json")
 	var out, errOut strings.Builder
-	if code := run([]string{"-o", base}, strings.NewReader(benchOut), &out, &errOut); code != 0 {
+	if code := run([]string{"-o", base}, strings.NewReader(benchOutOneProc), &out, &errOut); code != 0 {
 		t.Fatalf("write run: exit %d", code)
 	}
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
+	out.Reset()
+	code := run([]string{"-baseline", base, "-hard", "allocs/op"}, strings.NewReader(benchOut), &out, &errOut)
+	if code != 1 {
+		t.Fatalf("gomaxprocs mismatch: exit %d, want 1\n%s", code, out.String())
 	}
-	var doc Doc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Env["gomaxprocs"] != strconv.Itoa(runtime.GOMAXPROCS(0)) {
-		t.Fatalf("env gomaxprocs = %q", doc.Env["gomaxprocs"])
-	}
-	if doc.Env["cores"] != strconv.Itoa(runtime.NumCPU()) {
-		t.Fatalf("env cores = %q", doc.Env["cores"])
+	if msg := errOut.String(); !strings.Contains(msg, "gomaxprocs 8") || !strings.Contains(msg, "gomaxprocs 1") {
+		t.Fatalf("mismatch message does not name both values: %s", msg)
 	}
 }
 

@@ -67,7 +67,6 @@ var (
 	progress   = flag.Bool("progress", false, "print per-worker progress while the full routing verifies")
 	adjStride  = flag.Int64("adjstride", 0, "verify every Nth path edge-by-edge (0 = default 257, 1 = every path)")
 	orbits     = flag.Bool("orbits", false, "full routing: collapse pair-path orbits (bit-identical stats, ~n₀ᵏ-fold less chain work; -orbits=false cross-checks)")
-	orbStage1  = flag.Bool("orbitstage1", false, "with -orbits: use the stage-1 kernel (per-orbit chain rebuilds, one chain walk per path) instead of the fan-aggregated kernel; stats are bit-identical, useful for cross-checks and perf comparison")
 	checkpoint = flag.String("checkpoint", "", "persist completed shards of the full routing to this file")
 	resume     = flag.Bool("resume", false, "with -checkpoint: skip shards already completed in the checkpoint file")
 	shardRows  = flag.Int64("shardrows", 0, "with -checkpoint: enumeration rows per shard (0 = ~1M paths per shard)")
@@ -320,7 +319,6 @@ func main() {
 		}
 		r.AdjacencySampleStride = *adjStride
 		r.OrbitReduction = *orbits
-		r.OrbitStage1 = *orbStage1
 		r.Obs = routing.NewInstruments(reg)
 		r.Obs.Tracer = obs.NewTracer(jw, base)
 		var printer func(routing.Progress)

@@ -1,5 +1,5 @@
 // Command routed is the verification-as-a-service daemon: clients
-// POST (algorithm, k, kernel, adjstride, orbits) jobs to /jobs, get a
+// POST (algorithm, k, adjstride, orbits) jobs to /jobs, get a
 // job ID, poll GET /jobs/{id} or stream GET /jobs/{id}/events (SSE)
 // for live progress, and fetch the final Stats certificate. One
 // listener serves the job API next to the observability surface

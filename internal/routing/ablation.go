@@ -15,76 +15,6 @@ import (
 	"pathrouting/internal/cdag"
 )
 
-// seedPairPath is the original pair-path kernel, kept verbatim for the
-// A9 enumeration-kernel ablation (Router.SeedEnumeration,
-// BenchmarkA9EnumerationKernel) and as the golden reference the
-// allocation-free appendPairPath is tested against. It heap-allocates
-// four digit slices, a closure, and three chain slices per path — the
-// cost the scratch kernel removes.
-func (r *Router) seedPairPath(side bilinear.Side, in, out int64, buf []cdag.V) []cdag.V {
-	// Decompose in/out into per-slot row and column digits.
-	n0 := int64(r.n0)
-	iD := make([]int64, r.k) // row digits of input
-	jD := make([]int64, r.k) // col digits of input
-	oiD := make([]int64, r.k)
-	ojD := make([]int64, r.k)
-	for l := 0; l < r.k; l++ {
-		e := in / r.powA[r.k-1-l] % r.a
-		o := out / r.powA[r.k-1-l] % r.a
-		iD[l], jD[l] = e/n0, e%n0
-		oiD[l], ojD[l] = o/n0, o%n0
-	}
-	pack := func(rows, cols []int64) int64 {
-		var x int64
-		for l := 0; l < r.k; l++ {
-			x = x*r.a + rows[l]*n0 + cols[l]
-		}
-		return x
-	}
-	var c1, c2, c3 []cdag.V
-	var ok bool
-	switch side {
-	case bilinear.SideA:
-		// a_ij → c_ij′ → b_jj′ → c_i′j′.
-		mid := pack(iD, ojD) // c_{i,j′}
-		bIn := pack(jD, ojD) // b_{j,j′}
-		c1, ok = r.AppendChain(bilinear.SideA, in, mid, nil)
-		if !ok {
-			panic("routing: chain a→c_ij′ must be guaranteed")
-		}
-		c2, ok = r.AppendChain(bilinear.SideB, bIn, mid, nil)
-		if !ok {
-			panic("routing: chain b→c_ij′ must be guaranteed")
-		}
-		c3, ok = r.AppendChain(bilinear.SideB, bIn, out, nil)
-		if !ok {
-			panic("routing: chain b→c_i′j′ must be guaranteed")
-		}
-	default:
-		// b_ij → c_i′j → a_i′i → c_i′j′  (paper's B-side sequence).
-		mid := pack(oiD, jD) // c_{i′,j}
-		aIn := pack(oiD, iD) // a_{i′,i}
-		c1, ok = r.AppendChain(bilinear.SideB, in, mid, nil)
-		if !ok {
-			panic("routing: chain b→c_i′j must be guaranteed")
-		}
-		c2, ok = r.AppendChain(bilinear.SideA, aIn, mid, nil)
-		if !ok {
-			panic("routing: chain a→c_i′j must be guaranteed")
-		}
-		c3, ok = r.AppendChain(bilinear.SideA, aIn, out, nil)
-		if !ok {
-			panic("routing: chain a→c_i′j′ must be guaranteed")
-		}
-	}
-	buf = append(buf, c1...)
-	for i := len(c2) - 2; i >= 0; i-- { // reversed, junction dropped
-		buf = append(buf, c2[i])
-	}
-	buf = append(buf, c3[1:]...) // junction dropped
-	return buf
-}
-
 // GreedyBaseMatching assigns every guaranteed base dependency to its
 // first adjacent product, with no capacity constraint — the strawman
 // the Hall matching is compared against.

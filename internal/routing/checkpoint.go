@@ -707,12 +707,8 @@ func (r *Router) VerifyFullRoutingCheckpointed(workers int, cfg CheckpointConfig
 		st := cp.stats(r, start)
 		return st, r.checkFullRoutingBounds(st)
 	}
-	if !r.LinearAdjacency {
-		r.G.EnsureAdjacencyIndex() // build once, before the fan-out
-	}
-	if !r.SeedEnumeration {
-		r.G.EnsureMetaRootIndex() // likewise; seed kernel walks instead
-	}
+	r.G.EnsureAdjacencyIndex() // build once, before the fan-out
+	r.G.EnsureMetaRootIndex()  // likewise
 
 	maxClaims := int64(len(pending))
 	if cfg.MaxShards > 0 && cfg.MaxShards < maxClaims {

@@ -275,18 +275,18 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	})
 }
 
-// TestCheckpointAdjCheckedMatchesStride: the AdjChecked every kernel
-// records is the count checkTallies derives from the done rows, for
+// TestCheckpointAdjCheckedMatchesStride: the AdjChecked both scans
+// record is the count checkTallies derives from the done rows, for
 // strides that do and do not divide aᵏ and a ragged last shard, so a
 // paused run at any of them resumes.
 func TestCheckpointAdjCheckedMatchesStride(t *testing.T) {
 	for _, kernel := range []struct {
-		name                 string
-		seed, orbits, stage1 bool
-	}{{name: "full"}, {name: "seed", seed: true}, {name: "stage1", orbits: true, stage1: true}, {name: "fan", orbits: true}} {
+		name   string
+		orbits bool
+	}{{name: "full"}, {name: "fan", orbits: true}} {
 		for _, stride := range []int64{1, 5, 64, 257, 5000} {
 			r := mustRouter(t, bilinear.Strassen(), 3) // 128 rows, aᵏ = 64
-			r.SeedEnumeration, r.OrbitReduction, r.OrbitStage1 = kernel.seed, kernel.orbits, kernel.stage1
+			r.OrbitReduction = kernel.orbits
 			r.AdjacencySampleStride = stride
 			path := filepath.Join(t.TempDir(), "run.ckpt")
 			cfg := CheckpointConfig{Path: path, ShardRows: 24, MaxShards: 3} // 6 shards, the last of 8 rows

@@ -180,7 +180,7 @@ func (dr *DecodingRouter) VerifyClaim1() (Stats, error) {
 			}
 			buf = dr.AppendPath(t, o, buf[:0])
 			for i := 0; i+1 < len(buf); i++ {
-				if !checkAdjacent(g, buf[i], buf[i+1]) {
+				if !g.Adjacent(buf[i], buf[i+1]) {
 					return st, fmt.Errorf("routing: decoding path disconnected at %s -- %s",
 						g.Label(buf[i]), g.Label(buf[i+1]))
 				}

@@ -1,33 +1,45 @@
 package routing
 
-// Fan-aggregated orbit kernel: the default scan when
-// Router.OrbitReduction is set. It does O(chains·k) work per run where
-// the per-path kernels do O(paths), and each row range's contribution
-// is bit-identical to full enumeration's (scanRows), so checkpoint
-// shards written by any kernel resume under any other.
+// Fan-aggregated orbit kernel: the scan when Router.OrbitReduction is
+// set. It does O(chains·k) work per run where full enumeration
+// (scanRows) does O(paths), and each row range's contribution is
+// bit-identical to scanRows's, so checkpoint shards written by either
+// scan resume under the other.
 //
-// Geometry (as in stage 1, orbit.go). A side-A path a_ij → c_ij′ →
-// b_jj′ → c_i′j′ is chain 1 (a_ij → c_ij′), chain 2 (b_jj′ → c_ij′,
-// entered reversed) and chain 3 (b_jj′ → c_i′j′). An orbit is (side,
-// input, fixed output digits j′); its n₀ᵏ members differ in the free
-// digits i′, which only chain 3 reads. Chain 3 is one of the n₀ᵏ
-// guaranteed chains out of the junction b = b_jj′ — the junction's
-// *fan*, whose outputs are o_l = j′_l + x_l·n₀ for x ∈ [n₀]ᵏ — and the
-// orbit's members walk that whole fan once. Side B mirrors this:
-// junction a_i′i, fixed digits i′, outputs o_l = i′_l·n₀ + x_l.
+// Geometry. A side-A path a_ij → c_ij′ → b_jj′ → c_i′j′ is chain 1
+// (a_ij → c_ij′), chain 2 (b_jj′ → c_ij′, entered reversed) and chain 3
+// (b_jj′ → c_i′j′). The chain construction is slot-wise, so a
+// coordinate that appears in no slot of a chain's definition cannot
+// change the chain: chains 1 and 2 depend only on (i, j, j′). An orbit
+// is (side, input, fixed output digits j′); its n₀ᵏ members differ in
+// the free digits i′, which only chain 3 reads, so they share chains 1
+// and 2 pointwise. The 2aᵏn₀ᵏ orbits of n₀ᵏ paths each tile the pair
+// space. Chain 3 is one of the n₀ᵏ guaranteed chains out of the
+// junction b = b_jj′ — the junction's *fan*, whose outputs are
+// o_l = j′_l + x_l·n₀ for x ∈ [n₀]ᵏ — and the orbit's members walk that
+// whole fan once. Side B mirrors this: chains b_ij → c_i′j,
+// a_i′i → c_i′j and a_i′i → c_i′j′, junction a_i′i, fixed digits i′,
+// outputs o_l = i′_l·n₀ + x_l.
+//
+// Paths. Every member still counts once, and a valid path has
+// 3(2k+2)−2 vertices, so an orbit adds n₀ᵏ to NumPaths and n₀ᵏ times
+// that length to TotalHits.
 //
 // Vertex hits. A path credits all of chain 1, chain 2 minus c_ij′ and
-// chain 3 minus b. Summed over an orbit that is n₀ᵏ·(C1 + C2′) plus
-// F_b, the fan's visit counts with the junction left out. Every
-// (side, input) row whose key — the column digits j of a_ij, the row
-// digits i of b_ij — equals b's has exactly one orbit with b as its
-// junction, so over a row range
+// chain 3 minus b. Hits add, so this holds also for the member whose
+// chain 3 retraces chain 2 (i′ = i) and visits those vertices twice,
+// as scanRows counts them. Summed over an orbit that is
+// n₀ᵏ·(C1 + C2′) plus F_b, the fan's visit counts with the junction
+// left out. Every (side, input) row whose key — the column digits j of
+// a_ij, the row digits i of b_ij — equals b's has exactly one orbit
+// with b as its junction, so over a row range
 //
 //	hits = Σ_orbits n₀ᵏ·(C1 + C2′) + Σ_b w_b·F_b,
 //
 // with w_b the range's rows carrying b's key. The orbit pass credits
-// the first sum, keeping stage 2's incremental odometer over the fixed
-// digits; the fan pass walks each used fan once, weighted by w_b.
+// the first sum, with an odometer over the fixed digits that refreshes
+// only the slots that changed; the fan pass walks each used fan once,
+// weighted by w_b.
 //
 // Deferred fan passes. The second sum is linear in the weights, so
 // ranges add: a state that scans several ranges can sum their weights
@@ -44,11 +56,16 @@ package routing
 // root; the two vertices a path drops are covered (c_ij′ lies on chain
 // 1, b on chain 2). Per orbit, a root ρ of C1 ∪ C2′ therefore gets n₀ᵏ
 // and any other root gets F_b(ρ). The orbit pass credits each distinct
-// root of C1 ∪ C2′ (epoch stamps, as in stage 1) with n₀ᵏ − F_b(ρ) and
-// the fan pass adds w_b·F_b(ρ) at the fan's root vertices. Where this
-// relies on a copy's root being its chain predecessor's root — chain
-// 2's encoding ranks and the fan — the kernel checks it and panics
-// otherwise, as it does for a shared chain that is not guaranteed.
+// root of C1 ∪ C2′ with n₀ᵏ − F_b(ρ) and the fan pass adds w_b·F_b(ρ)
+// at the fan's root vertices. Distinct is an epoch stamp: stamp[ρ]
+// holds the serial of the last orbit to credit ρ, so comparing it with
+// the current serial is an O(1) "already credited for every member of
+// this orbit" test. Serial 0 is never used and the serial only grows
+// across a worker's ranges, so the zeroed vector starts and stays
+// clean. Where this relies on a copy's root being its chain
+// predecessor's root — chain 2's encoding ranks and the fan — the
+// kernel checks it and panics otherwise, as it does for a shared chain
+// that is not guaranteed.
 //
 // F_b(ρ) at a root of C1 ∪ C2′ is a per-digit product. Let cnt[e][t]
 // count the x ∈ [n₀] whose guaranteed output from junction digit e the
@@ -171,13 +188,14 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 	var lastEmit time.Time
 	var flushedPaths, flushedAdj int64
 	var orbits, flushedOrbits int64
-	var families, flushedFamilies int64
 	emit := func(final bool) {
-		out.notePeak() // as in stage 1
+		// The peak is recomputed here, not tracked per credit: hits only
+		// grow between merges, and notePeak bounds the recompute, a pass
+		// over every vertex, to once per time floor across ranges.
+		out.notePeak()
 		r.Obs.flushScan(out.numPaths-flushedPaths, out.adjChecked-flushedAdj, out.peak)
-		r.Obs.flushOrbit(orbits-flushedOrbits, families-flushedFamilies)
-		flushedPaths, flushedAdj = out.numPaths, out.adjChecked
-		flushedOrbits, flushedFamilies = orbits, families
+		r.Obs.flushOrbit(orbits - flushedOrbits)
+		flushedPaths, flushedAdj, flushedOrbits = out.numPaths, out.adjChecked, orbits
 		nextEmit = out.numPaths + progressChunk
 		lastEmit = time.Now()
 		if r.Progress != nil {
@@ -200,9 +218,9 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 	inSuf, midSuf, jcSuf, enc1Root := fan.inSuf, fan.midSuf, fan.jcSuf, fan.enc1Root
 	enc1Base, enc3Base, decBase := fan.enc1Base, fan.enc3Base, fan.decBase
 
-	// stamp/serial: stage 1's epoch-stamped "already counted for every
-	// member of this orbit" test. Both live in out for the whole run:
-	// the serial only grows, so stamps from earlier ranges never match.
+	// stamp/serial: the epoch-stamped "already counted for every member
+	// of this orbit" test (see the file comment). Both live in out for
+	// the whole run: stamps from earlier ranges never match.
 	if out.stamp == nil {
 		out.stamp = make([]int64, g.NumVertices())
 	}
@@ -233,7 +251,6 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 		}
 		side, in := r.rowOf(row)
 		ps.setIn(r, in)
-		families++
 		// The row's sample, in ascending position order, checked as
 		// scanRows checks every path.
 		wantIn := g.InputA(in)
@@ -255,7 +272,7 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 				return
 			}
 			for x := 0; x+1 < len(full); x++ {
-				if !r.adjacent(full[x], full[x+1]) {
+				if !g.Adjacent(full[x], full[x+1]) {
 					out.fail(row*aK+outIdx, fmt.Errorf("routing: pair path (side %v, in %d, out %d): not connected at %s -- %s",
 						side, in, outIdx, g.Label(full[x]), g.Label(full[x+1])), earliestErr)
 					return
@@ -263,8 +280,8 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 			}
 		}
 
-		// Orbit geometry as in stage 1: side A fixes the output column
-		// digits (unit scale in the packed digit); side B the row digits.
+		// Orbit geometry: side A fixes the output column digits (unit
+		// scale in the packed digit); side B the row digits.
 		// Chain 1 lives in the side's encoding graph, chains 2 and 3 in
 		// the other side's, routed by match3 with fan counts cnt3.
 		fixedD := ps.ojD
@@ -364,7 +381,9 @@ func (r *Router) scanRowsFan(w, workers int, rowLo, rowHi int64, earliestErr *at
 			}
 			out.numPaths += n0K
 			out.totalHits += n0K * int64(wantLen)
-			// Snapshot cadence at orbit granularity (see stage 1).
+			// Snapshot cadence at orbit granularity: an orbit is n₀ᵏ
+			// paths, far below progressChunk, so checking once per orbit
+			// moves a snapshot by at most one orbit.
 			if observing && (out.numPaths >= nextEmit ||
 				(orbits&progressClockMask == 0 && time.Since(lastEmit) >= progressTimeFloor)) {
 				emit(false)

@@ -25,13 +25,9 @@ import (
 	"pathrouting/internal/rat"
 )
 
-// Kernel names accepted by JobConfig and CacheKey: the allocation-free
-// scratch kernel (the default) and the seed kernel kept as the A9
-// ablation baseline.
-const (
-	KernelScratch = "scratch"
-	KernelSeed    = "seed"
-)
+// KernelScratch is the only kernel a job spec may name (empty means
+// the same), kept so that specs naming it still validate.
+const KernelScratch = "scratch"
 
 // JobConfig is one full-routing verification job: everything a
 // service request specifies, plus the run-local plumbing (checkpoint
@@ -47,12 +43,8 @@ type JobConfig struct {
 	// AdjStride samples every Nth path for edge-by-edge adjacency
 	// verification (0 = the engine default, 1 = every path).
 	AdjStride int64
-	// Kernel selects the enumeration kernel: KernelScratch (default,
-	// also for "") or KernelSeed.
-	Kernel string
 	// Orbits enables the orbit-reduced scan (bit-identical Stats,
-	// ~n₀ᵏ-fold less chain work). Ignored under KernelSeed, which
-	// keeps the seed ablation a pure baseline.
+	// ~n₀ᵏ-fold less chain work).
 	Orbits bool
 
 	// CheckpointPath is the job's checkpoint file (required): jobs
@@ -68,11 +60,6 @@ type JobConfig struct {
 	// Progress and Obs pass through to the Router (see there).
 	Progress func(Progress)
 	Obs      *Instruments
-}
-
-// validKernel reports whether name selects a kernel ("" = scratch).
-func validKernel(name string) bool {
-	return name == "" || name == KernelScratch || name == KernelSeed
 }
 
 // RunJob executes one verification job end to end: it builds G_k,
@@ -91,10 +78,6 @@ func RunJob(ctx context.Context, cfg JobConfig) (Stats, error) {
 	if cfg.Alg == nil {
 		return Stats{}, fmt.Errorf("routing: job has no algorithm")
 	}
-	if !validKernel(cfg.Kernel) {
-		return Stats{}, fmt.Errorf("routing: unknown kernel %q (want %q or %q)",
-			cfg.Kernel, KernelScratch, KernelSeed)
-	}
 	in := cfg.Obs
 	if tc := obs.TraceContextFrom(ctx); !tc.IsZero() {
 		in = in.WithJob(tc)
@@ -102,11 +85,6 @@ func RunJob(ctx context.Context, cfg JobConfig) (Stats, error) {
 	span := in.startSpan("job_run")
 	span.SetAttr("alg", cfg.Alg.Name)
 	span.SetAttr("k", strconv.Itoa(cfg.K))
-	kernel := cfg.Kernel
-	if kernel == "" {
-		kernel = KernelScratch
-	}
-	span.SetAttr("kernel", kernel)
 	// Cost attribution: snapshot cumulative process CPU and allocation
 	// before the run so the span (and the serving layer, via the same
 	// deltas) can report what this leg of the job cost. Process-wide
@@ -129,7 +107,6 @@ func RunJob(ctx context.Context, cfg JobConfig) (Stats, error) {
 		return Stats{}, err
 	}
 	r.AdjacencySampleStride = cfg.AdjStride
-	r.SeedEnumeration = cfg.Kernel == KernelSeed
 	r.OrbitReduction = cfg.Orbits
 	r.Progress = cfg.Progress
 	r.Obs = in
@@ -186,28 +163,22 @@ func algorithmDigest(alg *bilinear.Algorithm) (sum [sha256.Size]byte) {
 // CacheKey returns the content-addressed result-cache key of a job:
 // equal keys guarantee bit-identical Stats certificates, because the
 // key covers everything the deterministic verifier's output depends
-// on — the algorithm's coefficients, k, the kernel, the effective
-// adjacency stride (0 normalizes to the engine default, so "default"
-// and "explicit 257" collide as they should), and the orbit flag
-// (normalized off under the seed kernel, which ignores it). Shard
-// geometry, worker count, and resume history are excluded: they
-// cannot change the certificate.
-func CacheKey(alg *bilinear.Algorithm, k int, kernel string, adjStride int64, orbits bool) string {
+// on — the algorithm's coefficients, k, the effective adjacency stride
+// (0 normalizes to the engine default, so "default" and "explicit
+// 257" collide as they should), and the orbit flag. Shard geometry,
+// worker count, and resume history are excluded: they cannot change
+// the certificate. The hashed string still names kernel=scratch, so
+// cache spills and the keys persisted in job specs stay valid.
+func CacheKey(alg *bilinear.Algorithm, k int, adjStride int64, orbits bool) string {
 	if adjStride <= 0 {
 		adjStride = defaultAdjacencyStride
 	}
-	if kernel == "" {
-		kernel = KernelScratch
-	}
-	if kernel == KernelSeed {
-		orbits = false // SeedEnumeration takes precedence in the Router
-	}
-	sum := sha256.Sum256([]byte(fmt.Sprintf("job alg=%s k=%d kernel=%s adjstride=%d orbits=%t",
-		AlgorithmHash(alg), k, kernel, adjStride, orbits)))
+	sum := sha256.Sum256([]byte(fmt.Sprintf("job alg=%s k=%d kernel=scratch adjstride=%d orbits=%t",
+		AlgorithmHash(alg), k, adjStride, orbits)))
 	return hex.EncodeToString(sum[:])
 }
 
 // CacheKey returns cfg's content-addressed result-cache key.
 func (cfg JobConfig) CacheKey() string {
-	return CacheKey(cfg.Alg, cfg.K, cfg.Kernel, cfg.AdjStride, cfg.Orbits)
+	return CacheKey(cfg.Alg, cfg.K, cfg.AdjStride, cfg.Orbits)
 }

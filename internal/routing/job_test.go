@@ -55,9 +55,6 @@ func TestRunJobValidation(t *testing.T) {
 	if _, err := RunJob(context.Background(), JobConfig{Alg: bilinear.Strassen(), K: 0, CheckpointPath: ckpt}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := RunJob(context.Background(), JobConfig{Alg: bilinear.Strassen(), K: 2, Kernel: "quantum", CheckpointPath: ckpt}); err == nil {
-		t.Fatal("unknown kernel accepted")
-	}
 	if _, err := RunJob(context.Background(), JobConfig{Alg: bilinear.Strassen(), K: 2}); err == nil {
 		t.Fatal("missing checkpoint path accepted")
 	}
@@ -117,32 +114,27 @@ func TestRunJobStopDrains(t *testing.T) {
 // certificate is guaranteed identical.
 func TestCacheKeyContentAddressed(t *testing.T) {
 	strassen := bilinear.Strassen()
-	base := CacheKey(strassen, 3, "", 0, false)
+	base := CacheKey(strassen, 3, 0, false)
 
 	// Stable across calls, and across the name of the algorithm.
 	renamed := bilinear.Strassen()
 	renamed.Name = "strassen-by-any-other-name"
-	if got := CacheKey(renamed, 3, "", 0, false); got != base {
+	if got := CacheKey(renamed, 3, 0, false); got != base {
 		t.Fatalf("renamed algorithm changed the key: %s vs %s", got, base)
 	}
-	// Normalizations: "" = scratch kernel, 0 = default stride, orbit
-	// flag irrelevant under the seed kernel.
-	if got := CacheKey(strassen, 3, KernelScratch, defaultAdjacencyStride, false); got != base {
+	// Normalization: 0 = default stride.
+	if got := CacheKey(strassen, 3, defaultAdjacencyStride, false); got != base {
 		t.Fatalf("normalized key %s differs from base %s", got, base)
-	}
-	if CacheKey(strassen, 3, KernelSeed, 0, true) != CacheKey(strassen, 3, KernelSeed, 0, false) {
-		t.Fatal("orbit flag changed the seed-kernel key, but the seed kernel ignores it")
 	}
 
 	// Every certificate-relevant parameter must change the key.
 	distinct := map[string]string{
 		"base":    base,
-		"k":       CacheKey(strassen, 4, "", 0, false),
-		"kernel":  CacheKey(strassen, 3, KernelSeed, 0, false),
-		"stride":  CacheKey(strassen, 3, "", 1, false),
-		"orbits":  CacheKey(strassen, 3, "", 0, true),
-		"alg":     CacheKey(bilinear.Winograd(), 3, "", 0, false),
-		"nonfast": CacheKey(bilinear.Classical(2), 3, "", 0, false),
+		"k":       CacheKey(strassen, 4, 0, false),
+		"stride":  CacheKey(strassen, 3, 1, false),
+		"orbits":  CacheKey(strassen, 3, 0, true),
+		"alg":     CacheKey(bilinear.Winograd(), 3, 0, false),
+		"nonfast": CacheKey(bilinear.Classical(2), 3, 0, false),
 	}
 	seen := map[string]string{}
 	for which, key := range distinct {
@@ -150,6 +142,35 @@ func TestCacheKeyContentAddressed(t *testing.T) {
 			t.Fatalf("cache keys for %q and %q collide: %s", which, prev, key)
 		}
 		seen[key] = which
+	}
+}
+
+// TestCacheKeyPinned pins CacheKey's hex values for specs the service
+// accepts. The service's result cache spills one file per key, and
+// each job's spec.json persists its key, so a changed key would turn
+// every spilled certificate into a miss and strand persisted jobs.
+// The values were recorded before the kernel parameter left CacheKey,
+// when these specs named the scratch kernel ("" or "scratch").
+func TestCacheKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		alg    *bilinear.Algorithm
+		k      int
+		stride int64
+		orbits bool
+		want   string
+	}{
+		{bilinear.Strassen(), 3, 0, false, "69a8e5f93d0dce007b0096ebdc2861034eaa29269ad33676bde7c890f7018be0"},
+		{bilinear.Strassen(), 3, 0, true, "f83de9ae4179e80769389b620845af73f6b8d956fb2becb04568dc37960ea3c5"},
+		{bilinear.Strassen(), 3, 257, false, "69a8e5f93d0dce007b0096ebdc2861034eaa29269ad33676bde7c890f7018be0"},
+		{bilinear.Strassen(), 5, 1, true, "3ff9b014ef92e8076dd229600e593d3d8635c964ec1f788abdbca5423b34f067"},
+		{bilinear.Strassen(), 2, 7, false, "490c0f5d8b46cea1e35134c60f665b79ee175301e7775f24eecc45bd4afece57"},
+		{bilinear.Winograd(), 4, 0, true, "f7292981ea1cddeb465afca3a8257b9c236701dcb41410a62f447acad6e78c78"},
+		{bilinear.Classical(2), 2, 0, false, "c5acc21c7019ed319271192877d379b4cee845af96083c03f55034710f637fc1"},
+	} {
+		if got := CacheKey(c.alg, c.k, c.stride, c.orbits); got != c.want {
+			t.Errorf("CacheKey(%s, k=%d, stride=%d, orbits=%t) = %s, want %s",
+				c.alg.Name, c.k, c.stride, c.orbits, got, c.want)
+		}
 	}
 }
 

@@ -1,15 +1,14 @@
 package routing
 
 // Golden tests for the allocation-free enumeration kernel: the scratch
-// kernel (appendPairPath + dense meta-root table + array dedup) must
-// produce exactly the seed kernel's paths and Stats, and steady-state
-// enumeration must not allocate. The seed kernel itself stays callable
-// through Router.SeedEnumeration, which is what these tests (and the
-// A9 ablation benchmark) exercise.
+// kernel (appendPairPath) must produce exactly the paths of the seed
+// kernel, seedPairPath, a test-only oracle, and steady-state
+// enumeration must not allocate. The meta-root table and dedup of
+// scanRows are checked against a copy-edge walk in
+// TestVertexHitsMatchEnumeration.
 
 import (
 	"fmt"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -64,15 +63,15 @@ func TestPairPathEnumerationZeroAllocs(t *testing.T) {
 }
 
 // TestPairPathMatchesSeedKernel compares the scratch kernel's output
-// vertex-by-vertex against the preserved seed kernel for every pair
-// path of every catalog algorithm at every depth.
+// vertex-by-vertex against the seed kernel (seedPairPath) for every
+// pair path of every catalog algorithm at every depth.
 func TestPairPathMatchesSeedKernel(t *testing.T) {
 	for _, c := range kernelCatalog() {
 		for k := 1; k <= c.maxK; k++ {
 			r := mustRouter(t, c.alg, k)
 			var seed []cdag.V
 			r.ForEachPairPath(func(side bilinear.Side, in, out int64, path []cdag.V) {
-				seed = r.seedPairPath(side, in, out, seed[:0])
+				seed = seedPairPath(r, side, in, out, seed[:0])
 				if len(seed) != len(path) {
 					t.Fatalf("%s k=%d (side %v, in %d, out %d): scratch len %d, seed len %d",
 						c.alg.Name, k, side, in, out, len(path), len(seed))
@@ -85,52 +84,6 @@ func TestPairPathMatchesSeedKernel(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestSeedEnumerationStatsBitIdentical runs the full-routing verifiers
-// with the seed kernel and the scratch kernel and requires bit-identical
-// Stats (Elapsed aside) from the sequential, parallel, and checkpointed
-// engines — the golden equivalence of the kernel rewrite.
-func TestSeedEnumerationStatsBitIdentical(t *testing.T) {
-	for _, c := range kernelCatalog() {
-		for k := 1; k <= c.maxK; k++ {
-			r := mustRouter(t, c.alg, k)
-			r.SeedEnumeration = true
-			want, err := r.VerifyFullRouting()
-			if err != nil {
-				t.Fatalf("%s k=%d seed: %v", c.alg.Name, k, err)
-			}
-			want.Elapsed = 0
-			r.SeedEnumeration = false
-			got, err := r.VerifyFullRouting()
-			if err != nil {
-				t.Fatalf("%s k=%d scratch: %v", c.alg.Name, k, err)
-			}
-			got.Elapsed = 0
-			if got != want {
-				t.Fatalf("%s k=%d sequential:\nscratch %+v\nseed    %+v", c.alg.Name, k, got, want)
-			}
-			for _, w := range equivalenceWorkers() {
-				par, err := r.VerifyFullRoutingParallel(w)
-				if err != nil {
-					t.Fatalf("%s k=%d workers=%d: %v", c.alg.Name, k, w, err)
-				}
-				par.Elapsed = 0
-				if par != want {
-					t.Fatalf("%s k=%d workers=%d:\nscratch %+v\nseed    %+v", c.alg.Name, k, w, par, want)
-				}
-			}
-			ckPath := filepath.Join(t.TempDir(), fmt.Sprintf("%s-k%d.ckpt", c.alg.Name, k))
-			ck, err := r.VerifyFullRoutingCheckpointed(2, CheckpointConfig{Path: ckPath})
-			if err != nil {
-				t.Fatalf("%s k=%d checkpointed: %v", c.alg.Name, k, err)
-			}
-			ck.Elapsed = 0
-			if ck != want {
-				t.Fatalf("%s k=%d checkpointed:\nscratch %+v\nseed    %+v", c.alg.Name, k, ck, want)
-			}
 		}
 	}
 }
@@ -297,4 +250,73 @@ func TestCheckChainUsageNamesTheChain(t *testing.T) {
 				c.side, c.in, c.free, c.delta, err, want)
 		}
 	}
+}
+
+// seedPairPath is the original pair-path kernel, kept as the golden
+// reference the allocation-free appendPairPath is tested against. It
+// rebuilds every digit from in and out and every chain from scratch
+// through AppendChain, sharing no state with the scratch kernel, at the
+// cost of four digit slices, a closure and three chain slices per path.
+func seedPairPath(r *Router, side bilinear.Side, in, out int64, buf []cdag.V) []cdag.V {
+	// Decompose in/out into per-slot row and column digits.
+	n0 := int64(r.n0)
+	iD := make([]int64, r.k) // row digits of input
+	jD := make([]int64, r.k) // col digits of input
+	oiD := make([]int64, r.k)
+	ojD := make([]int64, r.k)
+	for l := 0; l < r.k; l++ {
+		e := in / r.powA[r.k-1-l] % r.a
+		o := out / r.powA[r.k-1-l] % r.a
+		iD[l], jD[l] = e/n0, e%n0
+		oiD[l], ojD[l] = o/n0, o%n0
+	}
+	pack := func(rows, cols []int64) int64 {
+		var x int64
+		for l := 0; l < r.k; l++ {
+			x = x*r.a + rows[l]*n0 + cols[l]
+		}
+		return x
+	}
+	var c1, c2, c3 []cdag.V
+	var ok bool
+	switch side {
+	case bilinear.SideA:
+		// a_ij → c_ij′ → b_jj′ → c_i′j′.
+		mid := pack(iD, ojD) // c_{i,j′}
+		bIn := pack(jD, ojD) // b_{j,j′}
+		c1, ok = r.AppendChain(bilinear.SideA, in, mid, nil)
+		if !ok {
+			panic("routing: chain a→c_ij′ must be guaranteed")
+		}
+		c2, ok = r.AppendChain(bilinear.SideB, bIn, mid, nil)
+		if !ok {
+			panic("routing: chain b→c_ij′ must be guaranteed")
+		}
+		c3, ok = r.AppendChain(bilinear.SideB, bIn, out, nil)
+		if !ok {
+			panic("routing: chain b→c_i′j′ must be guaranteed")
+		}
+	default:
+		// b_ij → c_i′j → a_i′i → c_i′j′  (paper's B-side sequence).
+		mid := pack(oiD, jD) // c_{i′,j}
+		aIn := pack(oiD, iD) // a_{i′,i}
+		c1, ok = r.AppendChain(bilinear.SideB, in, mid, nil)
+		if !ok {
+			panic("routing: chain b→c_i′j must be guaranteed")
+		}
+		c2, ok = r.AppendChain(bilinear.SideA, aIn, mid, nil)
+		if !ok {
+			panic("routing: chain a→c_i′j must be guaranteed")
+		}
+		c3, ok = r.AppendChain(bilinear.SideA, aIn, out, nil)
+		if !ok {
+			panic("routing: chain a→c_i′j′ must be guaranteed")
+		}
+	}
+	buf = append(buf, c1...)
+	for i := len(c2) - 2; i >= 0; i-- { // reversed, junction dropped
+		buf = append(buf, c2[i])
+	}
+	buf = append(buf, c3[1:]...) // junction dropped
+	return buf
 }

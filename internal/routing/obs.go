@@ -41,12 +41,6 @@ type Instruments struct {
 	// scan (zero for full enumeration). A complete orbit-reduced run over
 	// G_k collapses 2aᵏn₀ᵏ orbits of n₀ᵏ paths each.
 	OrbitGroups *obs.Counter
-	// OrbitFamilies counts the shared-chain families the default orbit
-	// kernel aggregates over — one per (side, input) row, each covering
-	// the row's n₀ᵏ orbits through incremental chain maintenance (zero
-	// for full enumeration and for the stage-1 orbit kernel). The
-	// groups-to-families ratio is the aggregation fan-in.
-	OrbitFamilies *obs.Counter
 	// CheckpointFsync is the latency of a checkpoint save's encode,
 	// write and fsync (the rename and directory sync that follow are
 	// not timed).
@@ -85,8 +79,6 @@ func NewInstruments(reg *obs.Registry) *Instruments {
 			"checkpoint shards restored from a resumed checkpoint instead of re-run"),
 		OrbitGroups: reg.Counter("routing_orbit_groups_total",
 			"pair-path orbits collapsed by the orbit-reduced scan"),
-		OrbitFamilies: reg.Counter("routing_orbit_families_total",
-			"shared-chain families aggregated by the default orbit kernel"),
 		CheckpointFsync: reg.Histogram("routing_checkpoint_fsync_seconds",
 			"checkpoint encode+write+fsync latency", obs.LatencyBuckets),
 	}
@@ -111,7 +103,6 @@ func (in *Instruments) WithJob(tc obs.TraceContext) *Instruments {
 		ShardsDone:      in.ShardsDone,
 		ShardsSkipped:   in.ShardsSkipped,
 		OrbitGroups:     in.OrbitGroups,
-		OrbitFamilies:   in.OrbitFamilies,
 		CheckpointFsync: in.CheckpointFsync,
 		Tracer:          in.Tracer.WithJob(tc),
 	}
@@ -160,17 +151,13 @@ func (in *Instruments) flushScan(pathsDelta, adjDelta, peak int64) {
 	}
 }
 
-// flushOrbit folds a worker's since-last-flush orbit-group and
-// shared-chain-family deltas into the metrics; called at the same
-// snapshot cadence as flushScan. The stage-1 kernel always passes a
-// zero family delta — it rebuilds the shared chains per orbit rather
-// than aggregating them per row.
-func (in *Instruments) flushOrbit(groupsDelta, familiesDelta int64) {
+// flushOrbit folds a worker's since-last-flush orbit-group delta into
+// the metrics; called at the same snapshot cadence as flushScan.
+func (in *Instruments) flushOrbit(groupsDelta int64) {
 	if in == nil {
 		return
 	}
 	in.OrbitGroups.Add(groupsDelta)
-	in.OrbitFamilies.Add(familiesDelta)
 }
 
 // startSpan opens a span on the bundle's tracer (nil-safe all the way

@@ -4,15 +4,14 @@ package routing
 // suite: where TestOrbitStatsBitIdentical sweeps the fixed catalog,
 // this draws algorithms from the symmetry orbit of Strassen's (fresh
 // coefficient structure and copying patterns every seed) and asserts
-// that full enumeration, the stage-1 orbit kernel, and the fan orbit
-// kernel produce bit-identical Stats — and per-vertex hit vectors
-// equal to a ForEachPairPath count — across depths, worker counts, and
-// adjacency sample strides, and that on one random row range the fan
-// kernel's accumulators equal scanRows's, and so do those of a
-// checkpointed fan-kernel run at a random shard size and worker count.
-// Under plain `go test` only
-// the seed corpus runs; `go test -fuzz=FuzzOrbitStatsEquivalence`
-// explores further.
+// that full enumeration and the fan orbit kernel produce bit-identical
+// Stats — and per-vertex hit vectors equal to a ForEachPairPath count —
+// across depths, worker counts, and adjacency sample strides, and that
+// on one random row range the fan kernel's accumulators equal
+// scanRows's, and so do those of a checkpointed fan-kernel run at a
+// random shard size and worker count. Under plain `go test` only the
+// seed corpus runs; `go test -fuzz=FuzzOrbitStatsEquivalence` explores
+// further.
 
 import (
 	"math"
@@ -57,30 +56,28 @@ func FuzzOrbitStatsEquivalence(f *testing.F) {
 			t.Fatalf("full hits (k=%d stride=%d): %v", k, stride, err)
 		}
 		want.Elapsed = 0
-		for _, stage := range orbitStages() {
-			ro := orbitRouter(t, r, stage.stage1)
-			got, hits, err := ro.VerifyFullRoutingHits(1)
-			if err != nil {
-				t.Fatalf("%s seq: %v", stage.name, err)
-			}
-			got.Elapsed = 0
-			if got != want {
-				t.Fatalf("%s sequential (k=%d stride=%d):\norbit %+v\nfull  %+v", stage.name, k, stride, got, want)
-			}
-			if err := diffHits(hits, wantHits); err != nil {
-				t.Fatalf("%s sequential hits (k=%d stride=%d): %v", stage.name, k, stride, err)
-			}
-			par, hits, err := ro.VerifyFullRoutingHits(workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", stage.name, workers, err)
-			}
-			par.Elapsed = 0
-			if par != want {
-				t.Fatalf("%s workers=%d (k=%d stride=%d):\norbit %+v\nfull  %+v", stage.name, workers, k, stride, par, want)
-			}
-			if err := diffHits(hits, wantHits); err != nil {
-				t.Fatalf("%s workers=%d hits (k=%d stride=%d): %v", stage.name, workers, k, stride, err)
-			}
+		ro := orbitRouter(t, r)
+		got, hits, err := ro.VerifyFullRoutingHits(1)
+		if err != nil {
+			t.Fatalf("fan seq: %v", err)
+		}
+		got.Elapsed = 0
+		if got != want {
+			t.Fatalf("fan sequential (k=%d stride=%d):\norbit %+v\nfull  %+v", k, stride, got, want)
+		}
+		if err := diffHits(hits, wantHits); err != nil {
+			t.Fatalf("fan sequential hits (k=%d stride=%d): %v", k, stride, err)
+		}
+		par, hits, err := ro.VerifyFullRoutingHits(workers)
+		if err != nil {
+			t.Fatalf("fan workers=%d: %v", workers, err)
+		}
+		par.Elapsed = 0
+		if par != want {
+			t.Fatalf("fan workers=%d (k=%d stride=%d):\norbit %+v\nfull  %+v", workers, k, stride, par, want)
+		}
+		if err := diffHits(hits, wantHits); err != nil {
+			t.Fatalf("fan workers=%d hits (k=%d stride=%d): %v", workers, k, stride, err)
 		}
 		rows := r.numRows()
 		lo := rng.Int63n(rows)
@@ -92,7 +89,7 @@ func FuzzOrbitStatsEquivalence(f *testing.F) {
 		// scanRows's vectors all the same.
 		shardRows, ckptWorkers := 1+rng.Int63n(rows), 1+rng.Intn(3)
 		path := filepath.Join(t.TempDir(), "run.ckpt")
-		if _, err := orbitRouter(t, r, false).VerifyFullRoutingCheckpointed(ckptWorkers, CheckpointConfig{
+		if _, err := ro.VerifyFullRoutingCheckpointed(ckptWorkers, CheckpointConfig{
 			Path: path, ShardRows: shardRows,
 		}); err != nil {
 			t.Fatalf("checkpointed (shardRows=%d workers=%d): %v", shardRows, ckptWorkers, err)

@@ -27,6 +27,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -85,20 +86,20 @@ func (r *Router) VerifyFullRoutingHits(workers int) (Stats, []int64, error) {
 // the per-path accumulation a bounds-checked array add instead of a
 // map operation, and is the form the checkpoint merges and stores.
 //
-// The vectors, the orbit kernels' stamp vector and its serial, the fan
-// kernel's state and the progress peak live for the whole run: the
-// checkpointed engine scans many shards into one state, and its merge
-// adds the vectors into the checkpoint and zeroes them. The tallies
-// below them are per row range and reset by begin.
+// The vectors, the fan kernel's stamp vector, serial and state, and
+// the progress peak live for the whole run: the checkpointed engine
+// scans many shards into one state, and its merge adds the vectors
+// into the checkpoint and zeroes them. The tallies below them are per
+// row range and reset by begin.
 type workerState struct {
 	hits     hitVec
 	metaHits hitVec
-	stamp    []int64 // orbit kernels: serial of the last orbit to credit each root
+	stamp    []int64 // fan kernel: serial of the last orbit to credit each root
 	serial   int64
 	fan      fanState  // the fan kernel's state and unwalked junction-key weights
 	deferFan bool      // leave fan passes to the caller (see scanRowsFan)
 	peak     int64     // running max of hits (for Progress)
-	lastPeak time.Time // when the fan and stage-1 kernels last recomputed peak
+	lastPeak time.Time // when the fan kernel last recomputed peak
 
 	numPaths   int64
 	totalHits  int64
@@ -200,13 +201,12 @@ func (r *Router) adjStride() int64 {
 // replace out's. A scan cut short by an earlier error that another
 // worker published sets out.cancelled.
 //
-// The loop is allocation-free in steady state: one pathScratch per
-// call carries the digit odometer and chain buffer, meta roots come
-// from the dense precomputed table, and per-path root dedup is a
-// linear scan of a fixed-size array (a path has 3(2k+2)-2 vertices, so
-// at most that many distinct roots). Router.SeedEnumeration restores
-// the original kernel — per-path slice/closure allocations, MetaRoot
-// copy-edge walks, and map-based dedup — for the A9 ablation.
+// It is the full-enumeration scan (OrbitReduction off) and the oracle
+// the fan kernel is tested against. The loop is allocation-free in
+// steady state: one pathScratch per call carries the digit odometer
+// and chain buffer, meta roots come from the dense precomputed table,
+// and per-path root dedup is a linear scan of a fixed-size array (a
+// path has 3(2k+2)-2 vertices, so at most that many distinct roots).
 func (r *Router) scanRows(w, workers int, rowLo, rowHi int64, earliestErr *atomic.Int64, out *workerState) {
 	g := r.G
 	aK := r.powA[r.k]
@@ -238,13 +238,7 @@ func (r *Router) scanRows(w, workers int, rowLo, rowHi int64, earliestErr *atomi
 
 	var buf []cdag.V
 	ps := r.newPathScratch()
-	var metaRoots []cdag.V            // dense table (scratch kernel)
-	var seedRoots map[cdag.V]struct{} // per-path map dedup (seed kernel)
-	if r.SeedEnumeration {
-		seedRoots = make(map[cdag.V]struct{}, 16)
-	} else {
-		metaRoots = g.MetaRoots()
-	}
+	metaRoots := g.MetaRoots()
 	for row := rowLo; row < rowHi; row++ {
 		// Cooperative cancellation: an error published at a position
 		// before everything left in this worker's scan makes the
@@ -260,11 +254,7 @@ func (r *Router) scanRows(w, workers int, rowLo, rowHi int64, earliestErr *atomi
 			if outIdx != 0 {
 				ps.advanceOut(r)
 			}
-			if r.SeedEnumeration {
-				buf = r.seedPairPath(side, in, outIdx, buf[:0])
-			} else {
-				buf = r.appendPairPath(ps, side, in, outIdx, buf[:0])
-			}
+			buf = r.appendPairPath(ps, side, in, outIdx, buf[:0])
 			idx := row*aK + outIdx
 			out.numPaths++
 			out.totalHits += int64(len(buf))
@@ -285,41 +275,22 @@ func (r *Router) scanRows(w, workers int, rowLo, rowHi int64, earliestErr *atomi
 			if idx%stride == 0 {
 				out.adjChecked++
 				for i := 0; i+1 < len(buf); i++ {
-					if !r.adjacent(buf[i], buf[i+1]) {
+					if !g.Adjacent(buf[i], buf[i+1]) {
 						out.fail(idx, fmt.Errorf("routing: pair path (side %v, in %d, out %d): not connected at %s -- %s",
 							side, in, outIdx, g.Label(buf[i]), g.Label(buf[i+1])), earliestErr)
 						return
 					}
 				}
 			}
-			if r.SeedEnumeration {
-				clear(seedRoots)
-				for _, v := range buf {
-					out.peak = max(out.peak, out.hits.bump(v))
-					seedRoots[g.MetaRoot(v)] = struct{}{}
+			roots := ps.roots[:0]
+			for _, v := range buf {
+				out.peak = max(out.peak, out.hits.bump(v))
+				if root := metaRoots[v]; !slices.Contains(roots, root) {
+					roots = append(roots, root)
 				}
-				for root := range seedRoots {
-					out.metaHits[root]++
-				}
-			} else {
-				roots := ps.roots[:0]
-				for _, v := range buf {
-					out.peak = max(out.peak, out.hits.bump(v))
-					root := metaRoots[v]
-					seen := false
-					for _, s := range roots {
-						if s == root {
-							seen = true
-							break
-						}
-					}
-					if !seen {
-						roots = append(roots, root)
-					}
-				}
-				for _, root := range roots {
-					out.metaHits[root]++
-				}
+			}
+			for _, root := range roots {
+				out.metaHits[root]++
 			}
 			if observing && (out.numPaths >= nextEmit ||
 				(out.numPaths&progressClockMask == 0 && time.Since(lastEmit) >= progressTimeFloor)) {
@@ -329,7 +300,8 @@ func (r *Router) scanRows(w, workers int, rowLo, rowHi int64, earliestErr *atomi
 	}
 }
 
-// scanRange is scanRows plus per-range observability: the enumeration
+// scanRange scans the range with the fan kernel under OrbitReduction,
+// else with scanRows, plus per-range observability: the enumeration
 // latency lands in the shard-enumerate histogram (a plain worker's row
 // range is the unit checkpoint shards are made of, so one histogram
 // serves both engines), and the scan runs under a pprof worker label
@@ -340,12 +312,8 @@ func (r *Router) scanRange(w, workers int, rowLo, rowHi int64, earliestErr *atom
 		defer in.ShardEnumerate.ObserveSince(time.Now())
 	}
 	asWorker(w, func() {
-		if r.OrbitReduction && !r.SeedEnumeration {
-			if r.OrbitStage1 {
-				r.scanRowsOrbit(w, workers, rowLo, rowHi, earliestErr, out)
-			} else {
-				r.scanRowsFan(w, workers, rowLo, rowHi, earliestErr, out)
-			}
+		if r.OrbitReduction {
+			r.scanRowsFan(w, workers, rowLo, rowHi, earliestErr, out)
 		} else {
 			r.scanRows(w, workers, rowLo, rowHi, earliestErr, out)
 		}
@@ -367,12 +335,8 @@ func (r *Router) verifyFullRouting(workers int) (Stats, []int64, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	if !r.LinearAdjacency {
-		r.G.EnsureAdjacencyIndex() // build once, before the fan-out
-	}
-	if !r.SeedEnumeration {
-		r.G.EnsureMetaRootIndex() // likewise; seed kernel walks instead
-	}
+	r.G.EnsureAdjacencyIndex() // build once, before the fan-out
+	r.G.EnsureMetaRootIndex()  // likewise
 	outs := make([]workerState, workers)
 	var earliestErr atomic.Int64
 	earliestErr.Store(math.MaxInt64)

@@ -180,38 +180,18 @@ type Router struct {
 	// parallel runs check the same sample. 0 means the default stride
 	// (257); 1 verifies the adjacency of every path.
 	AdjacencySampleStride int64
-	// LinearAdjacency disables the CSR adjacency index and answers
-	// adjacency checks with the legacy per-edge linear scan. It exists
-	// so benchmarks can measure the index against the baseline.
-	LinearAdjacency bool
-	// SeedEnumeration makes the full-routing verifiers enumerate pair
-	// paths with the seed kernel (seedPairPath: fresh digit slices and
-	// chain buffers per path) instead of the allocation-free scratch
-	// kernel. It exists so the A9 ablation and the golden equivalence
-	// tests can measure the scratch kernel against the baseline.
-	SeedEnumeration bool
-	// OrbitReduction makes the full-routing verifiers collapse each
+	// OrbitReduction makes the full-routing verifiers run the fan kernel
+	// (fan.go) instead of full enumeration (scanRows). It collapses each
 	// pair-path orbit — the n₀ᵏ paths sharing a (side, input) row and the
 	// fixed output coordinate, on which two of the three Lemma 4 chains
 	// are pointwise constant — into one weighted credit of the shared
-	// chains, and credit each junction's fan of varying chains once per
+	// chains, and credits each junction's fan of varying chains once per
 	// row range (in the checkpointed engine, once per merge), weighted
 	// by the orbits that use it: O(chains) work instead of O(paths).
 	// The resulting Stats, hit vectors and per-range contributions are
 	// bit-identical to full enumeration at any k (see fan.go for the
 	// exactness argument); only wall-clock time changes.
-	// SeedEnumeration takes precedence when both are set, keeping the
-	// seed ablation a pure baseline.
 	OrbitReduction bool
-	// OrbitStage1 restores the stage-1 orbit kernel — shared chains
-	// rebuilt per orbit through the division-heavy AppendChain and the
-	// varying chain walked once per path (see orbit.go) — instead of the
-	// fan-aggregated kernel. It exists so the A11 ablation and the
-	// equivalence tests can measure the default kernel against the
-	// stage-1 baseline. Ignored unless OrbitReduction is set; Stats are
-	// bit-identical either way, so — like the worker count — the flag is
-	// excluded from job cache identity (see CacheKey).
-	OrbitStage1 bool
 	// Progress, when non-nil, receives periodic Progress snapshots from
 	// VerifyFullRouting and VerifyFullRoutingParallel. It is called
 	// concurrently from all workers and must be safe for concurrent use.
@@ -345,12 +325,12 @@ func (r *Router) AppendChain(side bilinear.Side, in, out int64, buf []cdag.V) ([
 }
 
 // pathScratch is the reusable per-worker state of pair-path
-// enumeration. The seed kernel heap-allocated four digit slices, a
-// closure, and three chain slices for every path — millions of paths
-// of GC pressure and allocator contention serializing the parallel
-// workers — so everything per-path now lives here, allocated once per
-// worker: steady-state enumeration performs zero allocations per path
-// (pinned by TestPairPathEnumerationZeroAllocs).
+// enumeration. Fresh digit slices, a closure and three chain slices
+// for every path — millions of paths of GC pressure and allocator
+// contention serializing the parallel workers — would be the naive
+// cost, so everything per-path lives here, allocated once per worker:
+// steady-state enumeration performs zero allocations per path (pinned
+// by TestPairPathEnumerationZeroAllocs).
 //
 // A scratch is single-goroutine state: each worker makes its own with
 // newPathScratch and keeps the digit fields in sync with the pair it

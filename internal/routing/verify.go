@@ -71,42 +71,9 @@ type Progress struct {
 	Final bool
 }
 
-// checkAdjacent verifies that consecutive path vertices are joined by
-// an edge of G in either direction (routings ignore edge direction),
-// through the graph's CSR adjacency index.
-func checkAdjacent(g *cdag.Graph, u, v cdag.V) bool {
-	return g.Adjacent(u, v)
-}
-
-// checkAdjacentScan is the seed implementation of checkAdjacent: a
-// per-edge linear scan over freshly enumerated parent slices. Kept only
-// as the baseline Router.LinearAdjacency selects, so benchmarks can
-// measure what the CSR index buys.
-func checkAdjacentScan(g *cdag.Graph, u, v cdag.V) bool {
-	for _, e := range g.Parents(v) {
-		if e.To == u {
-			return true
-		}
-	}
-	for _, e := range g.Parents(u) {
-		if e.To == v {
-			return true
-		}
-	}
-	return false
-}
-
-// adjacent dispatches between the CSR index and the legacy scan.
-func (r *Router) adjacent(u, v cdag.V) bool {
-	if r.LinearAdjacency {
-		return checkAdjacentScan(r.G, u, v)
-	}
-	return checkAdjacent(r.G, u, v)
-}
-
 // checkChain verifies that the path is a chain: each vertex the parent
 // of the next (chains are directed, unlike the undirected pair-path
-// adjacency above).
+// adjacency the full-routing scans check with Graph.Adjacent).
 func checkChain(g *cdag.Graph, path []cdag.V) error {
 	for i := 0; i+1 < len(path); i++ {
 		if !g.HasEdge(path[i], path[i+1]) {

@@ -230,44 +230,6 @@ func TestProgressReporting(t *testing.T) {
 	r.Progress = nil
 }
 
-// TestLinearAdjacencyAgreesWithCSR pins the two adjacency back ends to
-// each other on every edge of sampled paths, so the benchmark knob can
-// never drift from the indexed implementation.
-func TestLinearAdjacencyAgreesWithCSR(t *testing.T) {
-	r := mustRouter(t, bilinear.Winograd(), 2)
-	g := r.G
-	checked := 0
-	r.ForEachPairPath(func(side bilinear.Side, in, out int64, path []cdag.V) {
-		if (in+out)%17 != 0 {
-			return
-		}
-		for i := 0; i+1 < len(path); i++ {
-			csr := checkAdjacent(g, path[i], path[i+1])
-			scan := checkAdjacentScan(g, path[i], path[i+1])
-			if csr != scan {
-				t.Fatalf("adjacency backends disagree on %s -- %s: csr=%v scan=%v",
-					g.Label(path[i]), g.Label(path[i+1]), csr, scan)
-			}
-			checked++
-		}
-	})
-	if checked == 0 {
-		t.Fatal("no edges checked")
-	}
-	// And on the verifier level: LinearAdjacency must not change stats.
-	st1, err1 := r.VerifyFullRouting()
-	r.LinearAdjacency = true
-	st2, err2 := r.VerifyFullRouting()
-	r.LinearAdjacency = false
-	if err1 != nil || err2 != nil {
-		t.Fatalf("errs: %v, %v", err1, err2)
-	}
-	st1.Elapsed, st2.Elapsed = 0, 0
-	if st1 != st2 {
-		t.Fatalf("LinearAdjacency changed stats: %+v vs %+v", st1, st2)
-	}
-}
-
 // TestWorkerPartitionCoversRange checks the slice partition for worker
 // counts around and above the input count: slices must tile [0, aK)
 // exactly, differ in size by at most one, and clamp to aK workers.

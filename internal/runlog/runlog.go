@@ -180,14 +180,11 @@ type Summary struct {
 	Heartbeats int   // heartbeat events (schema 2)
 	Traces     int   // distinct trace IDs (schema 3)
 	Unknown    int   // parsable records of event types this reader does not know
-	// OrbitGroups and OrbitFamilies are the high-water marks of the
-	// orbit-reduction counters across heartbeat metric snapshots (the
-	// counters are monotone within a process, so the maximum is the
-	// last complete snapshot even when heartbeats interleave). Families
-	// stay zero unless a run used the default orbit kernel; their ratio
-	// is the kernel's shared-chain aggregation fan-in.
-	OrbitGroups   float64
-	OrbitFamilies float64
+	// OrbitGroups is the high-water mark of the orbit-group counter
+	// across heartbeat metric snapshots (the counter is monotone within
+	// a process, so the maximum is the last complete snapshot even when
+	// heartbeats interleave).
+	OrbitGroups float64
 	// ByRun holds one entry per (tool, alg, k) configuration seen, in
 	// first-appearance order.
 	ByRun []RunSummary
@@ -263,7 +260,6 @@ func Summarize(r io.Reader) (*Summary, error) {
 		case EventHeartbeat:
 			s.Heartbeats++
 			s.OrbitGroups = max(s.OrbitGroups, rec.Metrics["routing_orbit_groups_total"])
-			s.OrbitFamilies = max(s.OrbitFamilies, rec.Metrics["routing_orbit_families_total"])
 		default:
 			// Event types from a future schema: counted, never fatal,
 			// and kept out of the per-run roll-ups they might not
@@ -301,12 +297,7 @@ func (s *Summary) Format() string {
 		fmt.Fprintf(&b, "  traces: %d distinct trace IDs (inspect with routelog)\n", s.Traces)
 	}
 	if s.OrbitGroups > 0 {
-		fmt.Fprintf(&b, "  orbit reduction: %.0f orbits collapsed", s.OrbitGroups)
-		if s.OrbitFamilies > 0 {
-			fmt.Fprintf(&b, " into %.0f shared-chain families (%.1f orbits/family)",
-				s.OrbitFamilies, s.OrbitGroups/s.OrbitFamilies)
-		}
-		b.WriteString("\n")
+		fmt.Fprintf(&b, "  orbit reduction: %.0f orbits collapsed\n", s.OrbitGroups)
 	}
 	runs := append([]RunSummary(nil), s.ByRun...)
 	sort.SliceStable(runs, func(i, j int) bool {

@@ -1,5 +1,5 @@
 // Package serve is the verification-as-a-service core behind cmd/routed:
-// clients submit (algorithm, k, kernel, adjstride, orbits) jobs, get a
+// clients submit (algorithm, k, adjstride, orbits) jobs, get a
 // job ID, poll progress, and fetch the final Stats certificate.
 //
 // The paper's product is a certificate — "this routing of G_k satisfies
@@ -49,9 +49,10 @@ var (
 )
 
 // JobSpec is what a client submits: the certificate-determining
-// parameters (algorithm, k, kernel, adjstride, orbits — exactly the
-// routing.CacheKey inputs) plus shardrows, a checkpoint-granularity
-// knob that cannot change the certificate and is excluded from the key.
+// parameters (algorithm, k, adjstride, orbits — exactly the
+// routing.CacheKey inputs), kernel, accepted only as "scratch" (or
+// empty), and shardrows, a checkpoint-granularity knob that cannot
+// change the certificate and is excluded from the key.
 type JobSpec struct {
 	Alg       string `json:"alg"`
 	K         int    `json:"k"`
@@ -519,12 +520,12 @@ func (s *Server) normalize(spec JobSpec) (JobSpec, *bilinear.Algorithm, error) {
 		return spec, nil, fmt.Errorf("k = %d out of range [1, %d]", spec.K, s.opts.MaxK)
 	}
 	switch spec.Kernel {
-	case "":
+	case "", routing.KernelScratch:
 		spec.Kernel = routing.KernelScratch
-	case routing.KernelScratch, routing.KernelSeed:
+	case "seed":
+		return spec, nil, fmt.Errorf("kernel %q was removed: %q certifies the same Stats", spec.Kernel, routing.KernelScratch)
 	default:
-		return spec, nil, fmt.Errorf("unknown kernel %q (want %q or %q)",
-			spec.Kernel, routing.KernelScratch, routing.KernelSeed)
+		return spec, nil, fmt.Errorf("unknown kernel %q (want %q)", spec.Kernel, routing.KernelScratch)
 	}
 	if spec.AdjStride < 0 || spec.ShardRows < 0 {
 		return spec, nil, fmt.Errorf("adjstride and shardrows must be ≥ 0")
@@ -560,7 +561,7 @@ func (s *Server) SubmitTrace(spec JobSpec, trace string) (*Job, error) {
 		return nil, fmt.Errorf("invalid trace ID %q (want 1-%d chars of [0-9A-Za-z_-])",
 			trace, obs.MaxTraceIDLen)
 	}
-	key := routing.CacheKey(alg, spec.K, spec.Kernel, spec.AdjStride, spec.Orbits)
+	key := routing.CacheKey(alg, spec.K, spec.AdjStride, spec.Orbits)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -758,7 +759,6 @@ func (s *Server) runJob(j *Job) {
 		K:              j.spec.K,
 		Workers:        s.opts.JobWorkers,
 		AdjStride:      j.spec.AdjStride,
-		Kernel:         j.spec.Kernel,
 		Orbits:         j.spec.Orbits,
 		CheckpointPath: ckpt,
 		ShardRows:      j.spec.ShardRows,

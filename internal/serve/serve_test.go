@@ -222,6 +222,7 @@ func TestSubmitValidation(t *testing.T) {
 		{Alg: "strassen", K: 0},
 		{Alg: "strassen", K: 4}, // beyond MaxK
 		{Alg: "strassen", K: 2, Kernel: "quantum"},
+		{Alg: "strassen", K: 2, Kernel: "seed"},
 		{Alg: "strassen", K: 2, AdjStride: -1},
 	} {
 		if _, err := s.Submit(spec); err == nil {
@@ -263,9 +264,25 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 		t.Fatalf("abort left %d/%d shards — not mid-job", cp.DoneCount, cp.NumShards)
 	}
 
+	// A job directory whose spec names the removed seed kernel, as an
+	// older daemon may have left it: recovery skips it, as it skips any
+	// spec the server rejects.
+	seedDir := filepath.Join(dir, "jobs", "j00000099")
+	if err := os.MkdirAll(seedDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeJSON(filepath.Join(seedDir, "spec.json"), specRecord{
+		ID: "j00000099", Key: "seed-key", Spec: JobSpec{Alg: "strassen", K: 2, Kernel: "seed"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
 	// Second daemon over the same dir: recovery re-enqueues, the run
 	// resumes from the checkpoint, and the certificate matches.
 	s2 := newTestServer(t, Options{DataDir: dir, JobWorkers: 3})
+	if _, ok := s2.Get("j00000099"); ok {
+		t.Fatal("job with the removed seed kernel recovered")
+	}
 	j2, ok := s2.Get(id)
 	if !ok {
 		t.Fatalf("job %s not recovered", id)
@@ -520,6 +537,18 @@ func TestHTTPEndpoints(t *testing.T) {
 		resp, body := post(bad)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, `"error"`) {
 			t.Fatalf("POST %q: %d %s", bad, resp.StatusCode, body)
+		}
+	}
+	// Kernels: the removed seed kernel gets a 400 that says so and names
+	// its replacement; any other unknown kernel the plain unknown-kernel
+	// 400.
+	for _, c := range []struct{ body, want string }{
+		{`{"alg":"strassen","k":2,"kernel":"seed"}`, `kernel \"seed\" was removed: \"scratch\" certifies the same Stats`},
+		{`{"alg":"strassen","k":2,"kernel":"quantum"}`, `unknown kernel \"quantum\" (want \"scratch\")`},
+	} {
+		resp, body := post(c.body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, c.want) {
+			t.Fatalf("POST %s: %d %s, want 400 naming %s", c.body, resp.StatusCode, body, c.want)
 		}
 	}
 
