@@ -7,12 +7,16 @@ ROUTED_DIR ?= .routed-smoke
 
 .PHONY: verify build test vet vet386 race bench-routing bench bench-diff bench-smoke fuzz-smoke verify-resume obs-smoke routed-smoke
 
-# Routing benchmarks: the adjacency-index and parallel-verification
-# suites and the A10 full/fan comparison, with -benchmem's B/op and
-# allocs/op columns. They run at GOMAXPROCS BENCH_CPU on every host:
-# go test appends -P to names when P ≠ 1, and benchjson matches names
-# and refuses a baseline recorded at another GOMAXPROCS.
-BENCH_PATTERN = BenchmarkVerifyFullRoutingAdjacency|BenchmarkA7ParallelVerification|BenchmarkA10OrbitReduction
+# Gated benchmarks: the adjacency-index and parallel-verification
+# suites and the A10 full/fan comparison, the pebble simulator per
+# policy, and segment certification (BenchmarkCertify, and E7's
+# segment argument with and without its deep routing-path counts), with
+# -benchmem's B/op and allocs/op columns. They run at GOMAXPROCS
+# BENCH_CPU on every host: go test appends -P to names when P ≠ 1, and
+# benchjson matches names and refuses a baseline recorded at another
+# GOMAXPROCS. Legs that run several workers fix the count, so the names
+# and the work do not depend on the host.
+BENCH_PATTERN = BenchmarkVerifyFullRoutingAdjacency|BenchmarkA7ParallelVerification|BenchmarkA10OrbitReduction|BenchmarkSimulatorRun|BenchmarkCertify|BenchmarkE7SegmentBoundary
 BENCH_CPU = 1
 
 verify: vet test race vet386
@@ -86,9 +90,9 @@ bench-diff:
 # engine's whole job (BenchmarkRunJob) and the CSR index build
 # (BenchmarkBuildAdjacency), with allocation counts — catches a
 # bench-harness, kernel, simulator, certifier, checkpoint-engine or
-# index regression without paying for a full measured run. These
-# benchmarks, other than the first, are not in BENCH_PATTERN, so the
-# hard allocs/op gate of bench-diff does not cover them yet.
+# index regression without paying for a full measured run. The last
+# two live outside the root package, which is all BENCH_PATTERN runs,
+# so the hard allocs/op gate of bench-diff does not cover them yet.
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkA7ParallelVerification|BenchmarkSimulatorRun|BenchmarkCertify' -benchtime 1x -benchmem .
 	$(GO) test -run xxx -bench 'BenchmarkRunJob' -benchtime 1x -benchmem ./internal/routing

@@ -6,9 +6,9 @@
 //
 // Usage:
 //
-//	paperrepro [-experiment all|E1|...|E12] [-quick] [-dotdir DIR] [-progress]
-//	           [-journal run.jsonl] [-checkpointdir DIR] [-resume]
-//	           [-debugaddr :8080] [-heartbeat 30s]
+//	paperrepro [-experiment all|E1|...|E14] [-quick] [-dotdir DIR] [-csvdir DIR]
+//	           [-progress] [-orbits] [-journal run.jsonl] [-checkpointdir DIR] [-resume]
+//	           [-debugaddr :8080] [-heartbeat 30s] [-sample 10s] [-capturedir DIR]
 //	           [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz]
 //
 // With -checkpointdir, the heavy E3 routing verifications run through

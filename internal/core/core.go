@@ -26,8 +26,10 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
+	"pathrouting/internal/bilinear"
 	"pathrouting/internal/cdag"
 	"pathrouting/internal/pebble"
 	"pathrouting/internal/routing"
@@ -151,17 +153,11 @@ func Certify(g *cdag.Graph, sched []cdag.V, opts Options) (*Certificate, error) 
 	cert.Segments = make([]SegmentReport, 0, nSegs)
 
 	// Step 3: Equation (2) for every complete segment.
-	var gk *cdag.Graph
-	var router *routing.Router
+	var deep *deepVerifier
 	if opts.DeepSegments > 0 {
 		var err error
-		gk, err = cdag.New(g.Alg, opts.K)
-		if err != nil {
-			return nil, fmt.Errorf("core: deep verification graph: %w", err)
-		}
-		router, err = routing.NewRouter(gk)
-		if err != nil {
-			return nil, fmt.Errorf("core: deep verification router: %w", err)
+		if deep, err = newDeepVerifier(g, opts.K, collection); err != nil {
+			return nil, err
 		}
 	}
 	ev := pebble.NewSegmentEvaluator(g)
@@ -186,7 +182,7 @@ func Certify(g *cdag.Graph, sched []cdag.V, opts Options) (*Certificate, error) 
 		// Step 4: deep routing-based derivation on a budget.
 		if deepBudget > 0 {
 			deepBudget--
-			crossings, err := deepVerify(g, gk, router, collection, ev, counted, b.DeltaMeta, opts.K)
+			crossings, err := deep.verify(ev, counted, b.DeltaMeta)
 			if err != nil {
 				return err
 			}
@@ -283,32 +279,102 @@ func (sg *segmenter) cut(seq []cdag.V, target int64, emit func(start, end int, c
 	return nil
 }
 
-// deepVerify re-derives Equation (2) for one segment, the evaluator's
-// current S′, from the Routing Theorem: embeds the 6aᵏ-routing in every
-// collection subcomputation, counts boundary-crossing paths |P|, and
-// checks |P| ≥ ½aᵏ·|S̄| and 6aᵏ·|δ′(S′)| ≥ |P|.
-func deepVerify(g *cdag.Graph, gk *cdag.Graph, router *routing.Router,
-	collection []int64, s *pebble.SegmentEvaluator, counted int64, deltaMeta int64, k int) (int64, error) {
-	aK := int64(1)
+// deepVerifier re-derives Equation (2) for a segment, the evaluator's
+// current S′, from the Routing Theorem: it embeds the 6aᵏ-routing in
+// every collection subcomputation, counts the boundary-crossing paths
+// |P|, and checks |P| ≥ ½aᵏ·|S̄| and 6aᵏ·|δ′(S′)| ≥ |P|.
+//
+// Its tables are built once per Certify and serve every deep segment.
+// The routing's pair paths are listed once, since they do not depend
+// on the segment. For the C collection prefixes, a segment fills a
+// |V(G_K)| × ⌈C/64⌉ bit table: bit p of row v is set iff the copy of v
+// in subcomputation p lies in S′. A path crosses S′ in subcomputation
+// p iff bit p is set in the OR of its vertices' rows and clear in
+// their AND, so one pass over the paths counts all C subcomputations
+// 64 at a time. Router.CountBoundaryCrossing is the per-subcomputation
+// reference.
+type deepVerifier struct {
+	g, gk      *cdag.Graph
+	collection []int64
+	aK         int64
+	// paths lists every pair path of G_K, pathLen vertices each, in
+	// ForEachPairPath order.
+	paths   []cdag.V
+	pathLen int
+	// rows[v·words + p/64] holds bit p%64 of vertex v's row.
+	rows  []uint64
+	words int
+}
+
+// maxDeepPathVertices caps the pair-path table: 2a²ᴷ paths of 6K+4
+// vertices, 32K entries at Strassen K=2 and 3.7M at K=4.
+const maxDeepPathVertices = 1 << 28
+
+func newDeepVerifier(g *cdag.Graph, k int, collection []int64) (*deepVerifier, error) {
+	d := &deepVerifier{g: g, collection: collection, aK: 1, pathLen: 6*k + 4}
 	for i := 0; i < k; i++ {
-		aK *= int64(g.A())
+		d.aK *= int64(g.A())
 	}
-	var total int64
-	for _, prefix := range collection {
-		p := prefix
-		crossings := router.CountBoundaryCrossing(func(v cdag.V) bool {
-			return s.Has(g.Embed(gk, v, p))
-		})
-		total += crossings
+	if d.aK > maxDeepPathVertices/(2*d.aK*int64(d.pathLen)) {
+		return nil, fmt.Errorf("core: deep verification at K = %d would list 2·%d² pair paths; K is too large", k, d.aK)
 	}
-	if 2*total < aK*counted {
+	var err error
+	if d.gk, err = cdag.New(g.Alg, k); err != nil {
+		return nil, fmt.Errorf("core: deep verification graph: %w", err)
+	}
+	router, err := routing.NewRouter(d.gk)
+	if err != nil {
+		return nil, fmt.Errorf("core: deep verification router: %w", err)
+	}
+	d.paths = make([]cdag.V, 0, 2*d.aK*d.aK*int64(d.pathLen))
+	router.ForEachPairPath(func(_ bilinear.Side, _, _ int64, path []cdag.V) {
+		d.paths = append(d.paths, path...)
+	})
+	d.words = (len(collection) + 63) / 64
+	d.rows = make([]uint64, d.gk.NumVertices()*d.words)
+	return d, nil
+}
+
+// verify checks one segment and returns its crossing-path count |P|.
+func (d *deepVerifier) verify(s *pebble.SegmentEvaluator, counted, deltaMeta int64) (int64, error) {
+	total := d.crossings(s)
+	if 2*total < d.aK*counted {
 		return total, fmt.Errorf(
 			"core: routing argument fails: %d boundary-crossing paths < ½aᵏ|S̄| = %d",
-			total, aK*counted/2)
+			total, d.aK*counted/2)
 	}
-	if 6*aK*deltaMeta < total {
+	if 6*d.aK*deltaMeta < total {
 		return total, fmt.Errorf(
-			"core: meta-hit bound fails: 6aᵏ·|δ′| = %d < |P| = %d", 6*aK*deltaMeta, total)
+			"core: meta-hit bound fails: 6aᵏ·|δ′| = %d < |P| = %d", 6*d.aK*deltaMeta, total)
 	}
 	return total, nil
+}
+
+// crossings counts, summed over the collection subcomputations, the
+// pair paths that have a vertex inside the evaluator's current S′ and
+// one outside.
+func (d *deepVerifier) crossings(s *pebble.SegmentEvaluator) int64 {
+	for v := range d.gk.NumVertices() {
+		row := d.rows[v*d.words : (v+1)*d.words]
+		clear(row)
+		for p, prefix := range d.collection {
+			if s.Has(d.g.Embed(d.gk, cdag.V(v), prefix)) {
+				row[p/64] |= 1 << (p % 64)
+			}
+		}
+	}
+	var total int64
+	for start := 0; start < len(d.paths); start += d.pathLen {
+		path := d.paths[start : start+d.pathLen]
+		for w := range d.words {
+			anyIn, allIn := uint64(0), ^uint64(0)
+			for _, v := range path {
+				x := d.rows[int(v)*d.words+w]
+				anyIn |= x
+				allIn &= x
+			}
+			total += int64(bits.OnesCount64(anyIn &^ allIn))
+		}
+	}
+	return total
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"pathrouting/internal/bounds"
 	"pathrouting/internal/cdag"
 	"pathrouting/internal/pebble"
+	"pathrouting/internal/routing"
 	"pathrouting/internal/schedule"
 )
 
@@ -91,6 +94,97 @@ func TestDeepRoutingDerivation(t *testing.T) {
 	}
 	if deep == 0 {
 		t.Fatal("no segments deep-verified")
+	}
+}
+
+// TestDeepTotalsMatchCrossingReference requires the bit-sliced deep
+// pass to count the sum over the collection prefixes of
+// Router.CountBoundaryCrossing on the embedded set: the count deep
+// verification made one prefix at a time. Strassen r=5 K=2 has 343
+// prefixes (six words), disconnected56 r=3 K=1 2,112 (33 words); every
+// certificate golden has at most 49 (one word). The sets are segments
+// spread over DFS and seeded random schedules (two at disconnected56,
+// whose reference count is the slowest, three elsewhere), and the
+// middle third of each schedule, which meets most subcomputations and
+// so sets bits in every word.
+func TestDeepTotalsMatchCrossingReference(t *testing.T) {
+	for _, c := range []struct {
+		alg        *bilinear.Algorithm
+		r, k, segs int
+		target     int64
+	}{
+		{bilinear.Strassen(), 5, 2, 3, 8},
+		{bilinear.Classical(2), 4, 2, 3, 8},
+		{bilinear.DisconnectedFast(), 3, 1, 2, 4},
+	} {
+		g := mustGraph(t, c.alg, c.r)
+		random, err := schedule.RandomTopological(g, rand.New(rand.NewSource(int64(c.r))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		collection := g.InputDisjointCollection(c.k)
+		d, err := newDeepVerifier(g, c.k, collection)
+		if err != nil {
+			t.Fatal(err)
+		}
+		router, err := routing.NewRouter(d.gk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sg := newSegmenter(g, c.k, collection)
+		ev := pebble.NewSegmentEvaluator(g)
+		check := func(id string) {
+			var want int64
+			for _, prefix := range collection {
+				want += router.CountBoundaryCrossing(func(v cdag.V) bool {
+					return ev.Has(g.Embed(d.gk, v, prefix))
+				})
+			}
+			if got := d.crossings(ev); got != want || want == 0 {
+				t.Errorf("%s: %d crossing paths, reference %d", id, got, want)
+			}
+		}
+		for _, sc := range []struct {
+			name  string
+			sched []cdag.V
+		}{{"dfs", schedule.RecursiveDFS(g)}, {"random", random}} {
+			id := fmt.Sprintf("%s r=%d K=%d %s", c.alg.Name, c.r, c.k, sc.name)
+			nSegs := 0
+			_ = sg.cut(sc.sched, c.target, func(int, int, int64) error { nSegs++; return nil })
+			if nSegs < c.segs {
+				t.Fatalf("%s: only %d segments", id, nSegs)
+			}
+			seg := 0
+			_ = sg.cut(sc.sched, c.target, func(start, end int, counted int64) error {
+				defer func() { seg++ }()
+				if stride := nSegs / c.segs; seg%stride != 0 || seg/stride >= c.segs {
+					return nil
+				}
+				ev.Close(sc.sched[start:end])
+				if _, err := d.verify(ev, counted, ev.Boundary().DeltaMeta); err != nil {
+					t.Errorf("%s segment %d: %v", id, seg, err)
+				}
+				check(fmt.Sprintf("%s segment %d", id, seg))
+				return nil
+			})
+			n := len(sc.sched)
+			ev.Close(sc.sched[n/3 : 2*n/3])
+			check(id + " middle third")
+		}
+	}
+}
+
+// TestDeepVerificationRefusesHugePathList: at Strassen K=6 the pair
+// paths of G_K would fill 2·4096²·40 > 2²⁸ entries, so deep
+// verification must refuse with an error before building anything.
+func TestDeepVerificationRefusesHugePathList(t *testing.T) {
+	g := mustGraph(t, bilinear.Strassen(), 6)
+	_, err := newDeepVerifier(g, 6, []int64{0})
+	if err == nil || !strings.Contains(err.Error(), "K is too large") {
+		t.Fatalf("K=6: err = %v, want a refusal", err)
+	}
+	if _, err := newDeepVerifier(g, 2, []int64{0}); err != nil {
+		t.Fatalf("K=2: %v", err)
 	}
 }
 
@@ -354,31 +448,45 @@ func TestCertifiersRejectBoundaryBelowBound(t *testing.T) {
 // the same at r=3 (58 segments) and r=4 (467). Only the evaluator's
 // member buffer grows, with the largest segment rather than the number
 // of segments, so quota 2 at r=4 (1,988 smaller segments) allocates no
-// more than quota 8.
+// more than quota 8. Deep verification builds G_K, its router, the
+// pair-path list and the bit table once per Certify, so one deep
+// segment allocates as much as four.
 func TestCertifyAllocationsFlatInSegments(t *testing.T) {
-	allocs := func(r int, target int64) (float64, int) {
+	allocs := func(r int, target int64, deep int) (float64, int) {
 		g := mustGraph(t, bilinear.Strassen(), r)
 		sched := schedule.RecursiveDFS(g)
 		g.EnsureAdjacencyIndex()
 		g.EnsureMetaRootIndex()
 		var segs int
+		// The process's first GC cycle starts the runtime's mark-worker
+		// goroutines, which the allocation count would include when it
+		// fell inside the measured runs (3 of 16 fresh processes).
+		runtime.GC()
 		a := testing.AllocsPerRun(10, func() {
-			cert, err := Certify(g, sched, Options{K: 2, RelaxedTarget: target})
+			cert, err := Certify(g, sched, Options{K: 2, RelaxedTarget: target, DeepSegments: deep})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if deep > 0 && (cert.Segments[deep-1].CrossingPaths == 0 || cert.Segments[deep].CrossingPaths != 0) {
+				t.Fatalf("DeepSegments %d: the first %d segments are not the deep-checked ones", deep, deep)
 			}
 			segs = cert.CompleteSegments
 		})
 		return a, segs
 	}
-	a3, s3 := allocs(3, 8)
-	a4, s4 := allocs(4, 8)
-	a4q2, s4q2 := allocs(4, 2)
+	a3, s3 := allocs(3, 8, 0)
+	a4, s4 := allocs(4, 8, 0)
+	a4q2, s4q2 := allocs(4, 2, 0)
 	if s3 >= s4 || s4 >= s4q2 {
 		t.Fatalf("segment counts %d, %d, %d do not grow", s3, s4, s4q2)
 	}
 	if a3 != a4 || a4q2 > a4 {
 		t.Errorf("Certify allocations %v (r=3, %d segments), %v (r=4, %d), %v (r=4 quota 2, %d): want flat in the segment count",
 			a3, s3, a4, s4, a4q2, s4q2)
+	}
+	d1, _ := allocs(4, 8, 1)
+	d4, _ := allocs(4, 8, 4)
+	if d1 != d4 {
+		t.Errorf("Certify allocations %v with one deep segment, %v with four: want flat in DeepSegments", d1, d4)
 	}
 }

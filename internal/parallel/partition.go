@@ -112,26 +112,33 @@ func RankBalancedPartition(g *cdag.Graph, p int, style PartitionStyle, rng *rand
 		note(assignLayer(cdag.Dec, rank))
 	}
 
-	// Count cross-processor edges; accumulate per-rank h-relations.
-	// perRank[rank][proc] = words sent + received by proc while
-	// computing the vertices of that global rank.
+	// Count cross-processor edges layer by layer over the CSR parent
+	// rows, so each layer's global rank is fixed, and accumulate
+	// per-rank h-relations: perRank[rank][proc] = words sent + received
+	// by proc while computing the vertices of that global rank.
 	nRanks := 2*g.R + 2
 	perRank := make([][]int64, nRanks)
 	for i := range perRank {
 		perRank[i] = make([]int64, p)
 	}
-	var buf []cdag.Edge
-	for v := 0; v < n; v++ {
-		vv := cdag.V(v)
-		rank := g.GlobalRank(vv)
-		buf = g.AppendParents(vv, buf[:0])
-		for _, e := range buf {
-			if owner[e.To] != owner[v] {
-				res.CrossEdges++
-				perRank[rank][owner[v]]++
-				perRank[rank][owner[e.To]]++
+	countLayer := func(kind cdag.Kind, rank, globalRank int) {
+		words := perRank[globalRank]
+		base := g.LayerBase(kind, rank)
+		for i := range g.LayerSize(kind, rank) {
+			v := base + cdag.V(i)
+			for _, u := range g.ParentRow(v) {
+				if owner[u] != owner[v] {
+					res.CrossEdges++
+					words[owner[v]]++
+					words[owner[u]]++
+				}
 			}
 		}
+	}
+	for rank := 0; rank <= g.R; rank++ {
+		countLayer(cdag.EncA, rank, rank)
+		countLayer(cdag.EncB, rank, rank)
+		countLayer(cdag.Dec, rank, g.R+1+rank)
 	}
 	for _, procs := range perRank {
 		var h int64

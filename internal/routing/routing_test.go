@@ -3,6 +3,7 @@ package routing
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pathrouting/internal/bilinear"
@@ -361,6 +362,56 @@ func TestSection8ValueClassRouting(t *testing.T) {
 	}
 }
 
+// valueClassHitsByPath is the per-path reference for valueClassHits,
+// the body VerifyValueClassRouting ran before it composed chains: it
+// enumerates every pair path and credits each distinct value root of
+// the path's vertices once.
+func valueClassHitsByPath(r *Router) hitVec {
+	g := r.G
+	classHits := make(hitVec, g.NumVertices())
+	roots := make([]cdag.V, 0, 3*(2*r.k+2)-2)
+	cache := make([]cdag.V, g.NumVertices()) // ValueRoot is pure per vertex
+	for i := range cache {
+		cache[i] = -1
+	}
+	r.ForEachPairPath(func(_ bilinear.Side, _, _ int64, path []cdag.V) {
+		roots = roots[:0]
+		for _, v := range path {
+			root := cache[v]
+			if root < 0 {
+				root = g.ValueRoot(v)
+				cache[v] = root
+			}
+			if !slices.Contains(roots, root) {
+				roots = append(roots, root)
+			}
+		}
+		for _, root := range roots {
+			classHits[root]++
+		}
+	})
+	return classHits
+}
+
+// TestValueClassHitsMatchPathEnumeration requires the chain-composed
+// class loads to equal the per-path reference entry by entry: the
+// kernel catalog to its depth and the other catalog algorithms at k=1.
+// TestPipelineOnRandomOrbitAlgorithms checks random-orbit draws.
+func TestValueClassHitsMatchPathEnumeration(t *testing.T) {
+	maxK := map[string]int{}
+	for _, c := range kernelCatalog() {
+		maxK[c.alg.Name] = c.maxK
+	}
+	for _, alg := range bilinear.All() {
+		for k := 1; k <= max(maxK[alg.Name], 1); k++ {
+			r := mustRouter(t, alg, k)
+			if err := diffHits(r.valueClassHits(), valueClassHitsByPath(r)); err != nil {
+				t.Errorf("%s k=%d class hits: %v", alg.Name, k, err)
+			}
+		}
+	}
+}
+
 func TestPipelineOnRandomOrbitAlgorithms(t *testing.T) {
 	// Property-based end-to-end check: draw verified algorithms from
 	// the symmetry orbit of Strassen's (arbitrary coefficient
@@ -396,6 +447,9 @@ func TestPipelineOnRandomOrbitAlgorithms(t *testing.T) {
 		}
 		if _, err := r.VerifyValueClassRouting(); err != nil {
 			t.Errorf("%s: Section 8: %v", alg.Name, err)
+		}
+		if err := diffHits(r.valueClassHits(), valueClassHitsByPath(r)); err != nil {
+			t.Errorf("%s: class hits: %v", alg.Name, err)
 		}
 	}
 }

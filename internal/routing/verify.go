@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"pathrouting/internal/bilinear"
@@ -165,19 +166,10 @@ func (r *Router) VerifyChainUsage() error {
 // multi-index a path needs is the sum of two spread-table entries,
 // rowSpread[rows] + colSpread[cols], so no pair pays a per-slot loop.
 func (r *Router) chainUsage() (useA, useB []int64) {
-	n0 := int64(r.n0)
 	n0K := r.powN[r.k]
 	useA = make([]int64, r.powA[r.k]*n0K)
 	useB = make([]int64, r.powA[r.k]*n0K)
-	// colSpread[f] places the base-n₀ digits of f as the column digits
-	// of a packed multi-index, rowSpread[f] as its row digits.
-	rowSpread := make([]int64, n0K)
-	colSpread := make([]int64, n0K)
-	for f := int64(1); f < n0K; f++ {
-		// f = n₀·(f/n₀) + f%n₀: shift the higher digits one slot left.
-		colSpread[f] = colSpread[f/n0]*r.a + f%n0
-		rowSpread[f] = colSpread[f] * n0
-	}
+	rowSpread, colSpread := r.spreadTables()
 	for fIn := int64(0); fIn < n0K; fIn++ { // row digits of the input
 		for fJn := int64(0); fJn < n0K; fJn++ { // column digits of the input
 			in := rowSpread[fIn] + colSpread[fJn]
@@ -198,6 +190,24 @@ func (r *Router) chainUsage() (useA, useB []int64) {
 		}
 	}
 	return useA, useB
+}
+
+// spreadTables returns the digit-placement tables of the pair walks:
+// colSpread[f] places the k base-n₀ digits of f as the column digits
+// of a packed multi-index, rowSpread[f] as its row digits, so a packed
+// index with row digits fr and column digits fc is rowSpread[fr] +
+// colSpread[fc].
+func (r *Router) spreadTables() (rowSpread, colSpread []int64) {
+	n0 := int64(r.n0)
+	n0K := r.powN[r.k]
+	rowSpread = make([]int64, n0K)
+	colSpread = make([]int64, n0K)
+	for f := int64(1); f < n0K; f++ {
+		// f = n₀·(f/n₀) + f%n₀: shift the higher digits one slot left.
+		colSpread[f] = colSpread[f/n0]*r.a + f%n0
+		rowSpread[f] = colSpread[f] * n0
+	}
+	return rowSpread, colSpread
 }
 
 // checkChainUsage requires every counter of chainUsage to be exactly
@@ -256,44 +266,10 @@ func (r *Router) chainOut(side bilinear.Side, in, free int64) int64 {
 func (r *Router) VerifyValueClassRouting() (Stats, error) {
 	start := time.Now()
 	g := r.G
-	st := Stats{Bound: 6 * r.powA[r.k]}
-	// Dense per-class accumulator and fixed-size array dedup, as in
-	// scanRows: a path has 3(2k+2)-2 vertices, so at most that many
-	// distinct roots — a linear scan beats a map at that size, and the
-	// enumeration loop stays allocation-free.
-	classHits := make(hitVec, g.NumVertices())
-	roots := make([]cdag.V, 0, 3*(2*r.k+2)-2)
-	// Cache ValueRoot: it is pure per vertex.
-	cache := make([]cdag.V, g.NumVertices())
-	for i := range cache {
-		cache[i] = -1
-	}
-	r.ForEachPairPath(func(side bilinear.Side, in, out int64, path []cdag.V) {
-		st.NumPaths++
-		st.TotalHits += int64(len(path))
-		roots = roots[:0]
-		for _, v := range path {
-			root := cache[v]
-			if root < 0 {
-				root = g.ValueRoot(v)
-				cache[v] = root
-			}
-			seen := false
-			for _, s := range roots {
-				if s == root {
-					seen = true
-					break
-				}
-			}
-			if !seen {
-				roots = append(roots, root)
-			}
-		}
-		for _, root := range roots {
-			classHits[root]++
-		}
-	})
-	st.MaxMetaHits = classHits.max()
+	aK := r.powA[r.k]
+	st := Stats{NumPaths: 2 * aK * aK, Bound: 6 * aK}
+	st.TotalHits = st.NumPaths * int64(3*(2*r.k+2)-2)
+	st.MaxMetaHits = r.valueClassHits().max()
 	st.MaxVertexHits = st.MaxMetaHits
 	st.Elapsed = time.Since(start)
 	if st.MaxMetaHits > st.Bound {
@@ -302,4 +278,101 @@ func (r *Router) VerifyValueClassRouting() (Stats, error) {
 			g.Alg.Name, r.k, st.MaxMetaHits, st.Bound)
 	}
 	return st, nil
+}
+
+// valueClassHits counts, for every value class (indexed by its
+// cdag.ValueRoot), the pair paths of the full routing that meet it.
+//
+// A pair path's vertices are those of its three Lemma 4 chains, so the
+// classes it meets are the union of the chains' classes. Each of the
+// 2aᵏn₀ᵏ guaranteed chains is built once, its chainUsage index in·n₀ᵏ +
+// free (the B side after the A side) turned into its output by
+// chainOut, and its distinct roots (at most 2k+2) are stored at that
+// index. The pairs are then walked by orbits, as the fan kernel does:
+// the n₀ᵏ paths of one (side, input, fixed output digits) share chains
+// 1 and 2, and their third chains are the junction's fan, whose n₀ᵏ
+// indices are consecutive, so its roots are one contiguous run. Each
+// distinct root of chains 1 and 2 is met by all n₀ᵏ paths; any other
+// root is met once per fan chain that holds it. stamp[ρ] holds the
+// serial of the last orbit to credit ρ from chains 1 and 2; the stamps
+// are cleared when the serial wraps.
+func (r *Router) valueClassHits() hitVec {
+	g := r.G
+	aK, n0K := r.powA[r.k], r.powN[r.k]
+	sideChains := aK * n0K
+	// roots[off[c]:off[c+1]] are chain c's distinct value roots.
+	off := make([]int64, 2*sideChains+1)
+	roots := make([]cdag.V, 0, 2*sideChains*int64(2*r.k+2))
+	cache := make([]cdag.V, g.NumVertices()) // ValueRoot is pure per vertex
+	for i := range cache {
+		cache[i] = -1
+	}
+	chain := make([]cdag.V, 0, 2*r.k+2)
+	c := 0
+	for _, side := range []bilinear.Side{bilinear.SideA, bilinear.SideB} {
+		for in := int64(0); in < aK; in++ {
+			for free := int64(0); free < n0K; free++ {
+				var ok bool
+				chain, ok = r.AppendChain(side, in, r.chainOut(side, in, free), chain[:0])
+				if !ok {
+					panic("routing: chain at a chainUsage index must be guaranteed")
+				}
+				first := len(roots)
+				for _, v := range chain {
+					root := cache[v]
+					if root < 0 {
+						root = g.ValueRoot(v)
+						cache[v] = root
+					}
+					if !slices.Contains(roots[first:], root) {
+						roots = append(roots, root)
+					}
+				}
+				c++
+				off[c] = int64(len(roots))
+			}
+		}
+	}
+
+	hits := make(hitVec, g.NumVertices())
+	stamp := make([]uint32, g.NumVertices())
+	var serial uint32
+	// orbit credits the n₀ᵏ paths made of chains c1 and c2 and one
+	// chain each of the fan that starts at index fan.
+	orbit := func(c1, c2, fan int64) {
+		if serial++; serial == 0 {
+			clear(stamp)
+			serial = 1
+		}
+		for _, c := range [2]int64{c1, c2} {
+			for _, root := range roots[off[c]:off[c+1]] {
+				if stamp[root] != serial {
+					stamp[root] = serial
+					hits[root] += n0K
+				}
+			}
+		}
+		for _, root := range roots[off[fan]:off[fan+n0K]] {
+			if stamp[root] != serial {
+				hits[root]++
+			}
+		}
+	}
+	rowSpread, colSpread := r.spreadTables()
+	for fIn := int64(0); fIn < n0K; fIn++ { // row digits of the input
+		for fJn := int64(0); fJn < n0K; fJn++ { // column digits of the input
+			in := rowSpread[fIn] + colSpread[fJn]
+			for f := int64(0); f < n0K; f++ { // the output's fixed digits
+				// A side, output columns j′ = f: a_ij → c_ij′ and
+				// b_jj′ → c_ij′, then the fan b_jj′ → c_i′j′ over i′.
+				bIn := rowSpread[fJn] + colSpread[f]
+				orbit(in*n0K+f, sideChains+bIn*n0K+fIn, sideChains+bIn*n0K)
+				// B side, output rows i′ = f: b_ij → c_i′j and
+				// a_i′i → c_i′j, then the fan a_i′i → c_i′j′ over j′.
+				aIn := rowSpread[f] + colSpread[fIn]
+				orbit(sideChains+in*n0K+f, aIn*n0K+fJn, aIn*n0K)
+			}
+		}
+	}
+	return hits
 }
