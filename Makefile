@@ -9,14 +9,15 @@ ROUTED_DIR ?= .routed-smoke
 
 # Gated benchmarks: the adjacency-index and parallel-verification
 # suites and the A10 full/fan comparison, the pebble simulator per
-# policy, and segment certification (BenchmarkCertify, and E7's
-# segment argument with and without its deep routing-path counts), with
-# -benchmem's B/op and allocs/op columns. They run at GOMAXPROCS
-# BENCH_CPU on every host: go test appends -P to names when P ≠ 1, and
-# benchjson matches names and refuses a baseline recorded at another
-# GOMAXPROCS. Legs that run several workers fix the count, so the names
-# and the work do not depend on the host.
-BENCH_PATTERN = BenchmarkVerifyFullRoutingAdjacency|BenchmarkA7ParallelVerification|BenchmarkA10OrbitReduction|BenchmarkSimulatorRun|BenchmarkCertify|BenchmarkE7SegmentBoundary
+# policy, the stack-distance pass, and segment certification
+# (BenchmarkCertify, and E7's segment argument with and without its
+# deep routing-path counts), with -benchmem's B/op and allocs/op
+# columns. They run at GOMAXPROCS BENCH_CPU on every host: go test
+# appends -P to names when P ≠ 1, and benchjson matches names and
+# refuses a baseline recorded at another GOMAXPROCS. Legs that run
+# several workers fix the count, so the names and the work do not
+# depend on the host.
+BENCH_PATTERN = BenchmarkVerifyFullRoutingAdjacency|BenchmarkA7ParallelVerification|BenchmarkA10OrbitReduction|BenchmarkSimulatorRun|BenchmarkStackDistances|BenchmarkCertify|BenchmarkE7SegmentBoundary
 BENCH_CPU = 1
 
 verify: vet test race vet386

@@ -501,6 +501,29 @@ func BenchmarkSimulatorRun(b *testing.B) {
 	}
 }
 
+// BenchmarkStackDistances times pebble.AnalyzeStackDistances on the DFS
+// schedule of Strassen G_5, the pebble-r5 workload's stack-distance
+// pass, with the graph's CSR index built beforehand.
+func BenchmarkStackDistances(b *testing.B) {
+	g, err := cdag.New(bilinear.Strassen(), 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sched := schedule.RecursiveDFS(g)
+	g.EnsureAdjacencyIndex()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var maxDist int
+	for i := 0; i < b.N; i++ {
+		mc, err := pebble.AnalyzeStackDistances(g, sched)
+		if err != nil {
+			b.Fatal(err)
+		}
+		maxDist = mc.MaxDistance()
+	}
+	b.ReportMetric(float64(maxDist), "maxdist")
+}
+
 // BenchmarkCertify times core.Certify on the DFS schedule of Strassen
 // G_5 (K = 2, relaxed target 8: 3,385 segments), the pebble-r5
 // workload's certification. allocs/op does not depend on the number of

@@ -42,7 +42,8 @@ func main() {
 	}
 
 	// 2. Policies: MIN is the offline optimum; LRU pays for not seeing
-	// the future; FIFO pays more.
+	// the future. FIFO prints LRU's numbers: the simulator's FIFO still
+	// evicts in LRU order (see pebble.FIFO).
 	fmt.Println("\nreplacement policies at M = 48 (DFS schedule):")
 	fmt.Printf("%-8s %-10s %-10s %-10s\n", "policy", "reads", "writes", "IO")
 	for _, pol := range []pathrouting.Policy{pathrouting.MIN, pathrouting.LRU, pathrouting.FIFO} {

@@ -110,10 +110,11 @@ func (g *Graph) buildAdjacency() {
 // (construction is safe under concurrent use either way).
 func (g *Graph) EnsureAdjacencyIndex() { g.adjOnce.Do(g.buildAdjacency) }
 
-// ParentRow returns v's parents in ascending ID order, which is the
-// order AppendParents lists them in, as a view into the CSR index
-// (built on first call). The row is shared: callers must not modify
-// it.
+// ParentRow returns v's parents in strictly ascending ID order, which
+// is the order AppendParents lists them in, as a view into the CSR
+// index (built on first call): a parent occurs once per row, because
+// the rows come from the algorithm's dense coefficient matrices. The
+// row is shared: callers must not modify it.
 func (g *Graph) ParentRow(v V) []V {
 	g.adjOnce.Do(g.buildAdjacency)
 	lo, hi := g.parentPtr[v], g.parentPtr[v+1]

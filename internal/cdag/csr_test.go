@@ -93,12 +93,13 @@ func TestAdjacencyIndexConcurrentInit(t *testing.T) {
 }
 
 // TestParentRowMatchesAppendParents requires every CSR row to list a
-// vertex's parents exactly as AppendParents does, order included, for
-// every catalog algorithm at r ≤ 3 and for Strassen G_5 and Winograd
-// G_4: the index synthesizes its rows layer by layer, AppendParents is
-// the oracle, and the pebble simulator, which reads rows where it used
-// to call AppendParents, breaks eviction ties by the order parents are
-// touched.
+// vertex's parents exactly as AppendParents does, order included, and
+// in strictly ascending order, for every catalog algorithm at r ≤ 3 and
+// for Strassen G_5 and Winograd G_4: the index synthesizes its rows
+// layer by layer, AppendParents is the oracle, and the pebble
+// simulator, which reads rows where it used to call AppendParents,
+// breaks eviction ties by the order parents are touched and counts on
+// a parent occurring once per row.
 func TestParentRowMatchesAppendParents(t *testing.T) {
 	type instance struct {
 		alg *bilinear.Algorithm
@@ -128,6 +129,10 @@ func TestParentRowMatchesAppendParents(t *testing.T) {
 				if row[i] != e.To {
 					t.Fatalf("%s r=%d: %s parent %d is %s in the row, %s from AppendParents",
 						in.alg.Name, in.r, g.Label(v), i, g.Label(row[i]), g.Label(e.To))
+				}
+				if i > 0 && row[i] <= row[i-1] {
+					t.Fatalf("%s r=%d: %s row is not strictly ascending: parent %d is %s after %s",
+						in.alg.Name, in.r, g.Label(v), i, g.Label(row[i]), g.Label(row[i-1]))
 				}
 			}
 		}

@@ -108,14 +108,12 @@ func (g *Graph) ValueRoot(v V) V {
 	}
 	tPart := idx / suffixPow
 	suffix := idx % suffixPow
+	// Replace each base-b digit of tPart by its representative, from
+	// the low digit up.
 	var canon int64
-	digits := make([]int64, tLen)
-	for l := tLen - 1; l >= 0; l-- {
-		digits[l] = tPart % int64(g.b)
-		tPart /= int64(g.b)
-	}
 	for l := 0; l < tLen; l++ {
-		canon = canon*int64(g.b) + int64(rep[digits[l]])
+		canon += int64(rep[tPart%int64(g.b)]) * g.powB[l]
+		tPart /= int64(g.b)
 	}
 	cv := g.ID(kind, rank, canon*suffixPow+suffix)
 	// Copies still collapse downward within the canonical labels.

@@ -9,6 +9,7 @@ package cdag
 import (
 	"testing"
 
+	"pathrouting/internal/bilinear"
 	"pathrouting/internal/rat"
 )
 
@@ -81,4 +82,24 @@ func FuzzNzKeyInjectivity(f *testing.F) {
 				same, keysSame, x, nzKey(x), y, nzKey(y))
 		}
 	})
+}
+
+// TestValueRootAllocationFree requires ValueRoot to allocate nothing
+// once the class tables exist: the routing checks call it once per
+// distinct chain vertex.
+func TestValueRootAllocationFree(t *testing.T) {
+	g, err := New(bilinear.DisconnectedFast(), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.ValueRoot(0) // builds the class tables
+	var sink V
+	allocs := testing.AllocsPerRun(5, func() {
+		for v := V(0); int(v) < g.NumVertices(); v++ {
+			sink ^= g.ValueRoot(v)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ValueRoot over every vertex of %s r=3 allocates %v times, want 0", g.Alg.Name, allocs)
+	}
 }

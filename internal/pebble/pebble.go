@@ -36,7 +36,11 @@ const (
 	MIN Policy = iota
 	// LRU evicts the least recently used value.
 	LRU
-	// FIFO evicts the value that entered cache earliest.
+	// FIFO is meant to evict the value that entered cache earliest.
+	// Today it evicts in LRU order, and its results equal LRU's: a
+	// computation that uses a cached parent moves the parent to the
+	// newest end of the eviction order. Leaving the parent where it
+	// sits would make it first-in, first-out (ROADMAP.md, item 1).
 	FIFO
 )
 
@@ -89,100 +93,139 @@ const (
 	computed                   // the schedule has computed the vertex
 )
 
-// evictEntry is one cache-resident, unpinned value in the eviction
-// heap. Its key is fixed when the value enters the heap: a value's next
-// use and last touch change only while it is pinned as a parent, and a
-// pinned value is out of the heap. The key is the next use for MIN and
-// the negated last touch for LRU, so the victim is always the entry
-// with the largest key. FIFO shares LRU's key, so today it evicts the
-// least recently used value rather than the one that entered the cache
-// first; carrying a cached parent's heap key through its pin would
-// make it FIFO.
+// evictEntry is one cache-resident, unpinned value in MIN's eviction
+// heap, keyed by its next use (a schedule position, or never). The key
+// is fixed when the value enters the heap: a value's next use changes
+// only while it is pinned as a parent, and a pinned value is out of the
+// heap. The victim is the entry with the largest key.
 type evictEntry struct {
-	key int64
+	key int32
 	v   cdag.V
 }
 
 // evictHeap is a max-heap on key that records each vertex's position
-// in pos (-1 when absent). push, pop and remove sift exactly as
-// container/heap's Push, Pop and Remove do, step for step. The order
-// matters: MIN keys tie (two parents of one vertex share a next use),
-// and which tied entry surfaces decides the victims and so Writes.
+// in pos (-1 when absent). push, pop and remove compare the same pairs
+// in the same order as container/heap's Push, Pop and Remove, so every
+// entry ends where container/heap would leave it, but they carry the
+// sifted entry through a hole instead of swapping it level by level.
+// The order matters: keys tie (two parents of one vertex share a next
+// use), and which tied entry surfaces decides the victims and so
+// Writes.
 type evictHeap struct {
 	e   []evictEntry
 	pos []int32
 }
 
-func (h *evictHeap) less(i, j int) bool { return h.e[i].key > h.e[j].key }
-
-func (h *evictHeap) swap(i, j int) {
-	h.e[i], h.e[j] = h.e[j], h.e[i]
-	h.pos[h.e[i].v] = int32(i)
-	h.pos[h.e[j].v] = int32(j)
-}
-
-func (h *evictHeap) up(j int) {
-	for {
+// up stores x at the hole j or above it, moving down into the hole
+// each parent that x beats.
+func (h *evictHeap) up(x evictEntry, j int) {
+	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if i == j || !h.less(j, i) {
+		if x.key <= h.e[i].key {
 			break
 		}
-		h.swap(i, j)
+		h.e[j] = h.e[i]
+		h.pos[h.e[j].v] = int32(j)
 		j = i
 	}
+	h.e[j] = x
+	h.pos[x.v] = int32(j)
 }
 
-func (h *evictHeap) down(i0, n int) bool {
+// down stores x at the hole i0 of e[:n] or below it, moving up into
+// the hole the larger child while it beats x, and reports whether x
+// went below i0.
+func (h *evictHeap) down(x evictEntry, i0, n int) bool {
 	i := i0
 	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 {
+		j := 2*i + 1
+		if j >= n || j < 0 {
 			break
 		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+		if j2 := j + 1; j2 < n && h.e[j2].key > h.e[j].key {
 			j = j2
 		}
-		if !h.less(j, i) {
+		if h.e[j].key <= x.key {
 			break
 		}
-		h.swap(i, j)
+		h.e[i] = h.e[j]
+		h.pos[h.e[i].v] = int32(i)
 		i = j
 	}
+	h.e[i] = x
+	h.pos[x.v] = int32(i)
 	return i > i0
 }
 
 func (h *evictHeap) push(x evictEntry) {
-	h.pos[x.v] = int32(len(h.e))
 	h.e = append(h.e, x)
-	h.up(len(h.e) - 1)
+	h.up(x, len(h.e)-1)
 }
 
-// pop removes and returns the entry with the largest key.
-func (h *evictHeap) pop() cdag.V {
-	n := len(h.e) - 1
-	h.swap(0, n)
-	h.down(0, n)
-	return h.dropLast()
+// pop removes and returns the entry with the largest key; ok is false
+// when the heap is empty.
+func (h *evictHeap) pop() (v cdag.V, ok bool) {
+	if len(h.e) == 0 {
+		return 0, false
+	}
+	v = h.e[0].v
+	h.remove(0)
+	return v, true
 }
 
-// remove deletes the entry at index i.
+// remove deletes the entry at index i. The last entry fills the hole
+// and sifts down, or up if it cannot go down.
 func (h *evictHeap) remove(i int) {
 	n := len(h.e) - 1
-	if n != i {
-		h.swap(i, n)
-		if !h.down(i, n) {
-			h.up(i)
-		}
+	h.pos[h.e[i].v] = -1
+	x := h.e[n]
+	h.e = h.e[:n]
+	if i != n && !h.down(x, i, n) {
+		h.up(x, i)
 	}
-	h.dropLast()
 }
 
-func (h *evictHeap) dropLast() cdag.V {
-	v := h.e[len(h.e)-1].v
-	h.e = h.e[:len(h.e)-1]
-	h.pos[v] = -1
-	return v
+// recencyList is LRU's and FIFO's eviction order: the cache-resident,
+// unpinned values, linked oldest to newest through two per-vertex
+// tables. Slot n, one past the last vertex, is the sentinel that closes
+// the ring: newer[n] is the oldest entry and older[n] the newest. A run
+// pushes a value when it computes or unpins it, and pins a parent only
+// after every earlier push, so the oldest entry is the least recently
+// used value: no key is needed.
+type recencyList struct {
+	newer, older []int32
+}
+
+func newRecencyList(n int) recencyList {
+	l := recencyList{newer: make([]int32, n+1), older: make([]int32, n+1)}
+	l.newer[n], l.older[n] = int32(n), int32(n)
+	return l
+}
+
+// push adds v as the newest entry.
+func (l recencyList) push(v cdag.V) {
+	s := int32(len(l.newer) - 1)
+	o := l.older[s]
+	l.older[v], l.newer[v] = o, s
+	l.newer[o], l.older[s] = int32(v), int32(v)
+}
+
+// unlink removes v, which must be listed.
+func (l recencyList) unlink(v cdag.V) {
+	o, w := l.older[v], l.newer[v]
+	l.newer[o], l.older[w] = w, o
+}
+
+// pop removes and returns the oldest entry; ok is false when the list
+// is empty.
+func (l recencyList) pop() (v cdag.V, ok bool) {
+	s := int32(len(l.newer) - 1)
+	if l.newer[s] == s {
+		return 0, false
+	}
+	v = cdag.V(l.newer[s])
+	l.unlink(v)
+	return v, true
 }
 
 // never is the next-use key of a value with no further use. It must
@@ -224,7 +267,11 @@ func checkUseCount(have, add int) error {
 //
 // A run reads parents from the graph's CSR index (cdag.ParentRow,
 // built on first use and shared) and allocates a fixed number of
-// dense per-vertex tables, however long the schedule.
+// dense per-vertex tables, however long the schedule. It relies on
+// every parent row being strictly ascending, as ParentRow's are: a
+// computation then uses each of its parents once, so it pins a parent
+// once, counts down its uses once and steps its next-use pointer by
+// exactly one.
 func (s *Simulator) Run(schedule []cdag.V) (Result, error) {
 	g := s.G
 	if s.M < 2 {
@@ -241,12 +288,11 @@ func (s *Simulator) Run(schedule []cdag.V) (Result, error) {
 	isInput := func(v cdag.V) bool { return uint32(v-aIn) < nIn || uint32(v-bIn) < nIn }
 	outLo := g.LayerBase(cdag.Dec, g.R)
 
-	// Next-use lists: usePos holds, for every vertex, the schedule
-	// positions where it is a parent, in increasing order and closed by
-	// a `never` sentinel; next[v] indexes v's next use. Count first so
-	// both tables are allocated once at their final size.
-	next := make([]int32, n)
-	uses := n // one sentinel per vertex
+	// left[v] counts the uses of v as a parent that the run has yet to
+	// reach. Counting them first also validates the schedule's vertex
+	// range and sizes MIN's next-use lists.
+	left := make([]int32, n)
+	uses := n // one never sentinel per vertex in MIN's lists
 	for _, v := range schedule {
 		if uint32(v) >= uint32(n) {
 			return Result{}, fmt.Errorf("pebble: schedule contains vertex %d outside [0,%d)", v, n)
@@ -257,23 +303,51 @@ func (s *Simulator) Run(schedule []cdag.V) (Result, error) {
 		}
 		uses += len(row)
 		for _, p := range row {
-			next[p]++
+			left[p]++
 		}
 	}
-	usePos := make([]int32, uses)
-	end := int32(0)
-	for v := range next {
-		end += next[v] + 1
-		next[v] = end - 1
-		usePos[end-1] = never
-	}
-	// Fill back to front so each list comes out in increasing order and
-	// next[v] ends at the list's first entry.
-	for pos := len(schedule) - 1; pos >= 0; pos-- {
-		for _, p := range g.ParentRow(schedule[pos]) {
-			next[p]--
-			usePos[next[p]] = int32(pos)
+
+	// LRU and FIFO evict from a recency list and only ask whether a
+	// victim is used again: left[v] > 0. MIN keys a heap by next use.
+	// Its next-use lists: usePos holds, for every vertex, the schedule
+	// positions where it is a parent, in increasing order and closed by
+	// a `never` sentinel; next[v], which takes over left's table,
+	// indexes v's next use.
+	byNextUse := s.P == MIN
+	var (
+		usePos, next []int32
+		h            evictHeap
+		list         recencyList
+	)
+	if byNextUse {
+		next, left = left, nil
+		usePos = make([]int32, uses)
+		end := int32(0)
+		for v := range next {
+			end += next[v] + 1
+			next[v] = end - 1
+			usePos[end-1] = never
 		}
+		// Fill back to front so each list comes out in increasing order
+		// and next[v] ends at the list's first entry.
+		for pos := len(schedule) - 1; pos >= 0; pos-- {
+			for _, p := range g.ParentRow(schedule[pos]) {
+				next[p]--
+				usePos[next[p]] = int32(pos)
+			}
+		}
+		h = evictHeap{e: make([]evictEntry, 0, min(s.M, n)+1), pos: make([]int32, n)}
+		for i := range h.pos {
+			h.pos[i] = -1
+		}
+	} else {
+		list = newRecencyList(n)
+	}
+	usedAgain := func(v cdag.V) bool {
+		if byNextUse {
+			return usePos[next[v]] != never
+		}
+		return left[v] > 0
 	}
 
 	st := make([]uint8, n)
@@ -281,29 +355,25 @@ func (s *Simulator) Run(schedule []cdag.V) (Result, error) {
 		st[aIn+cdag.V(i)] = inSlow // inputs start valid in slow memory
 		st[bIn+cdag.V(i)] = inSlow
 	}
-	h := &evictHeap{e: make([]evictEntry, 0, min(s.M, n)+1), pos: make([]int32, n)}
-	for i := range h.pos {
-		h.pos[i] = -1
-	}
-	// LRU and FIFO key an entry by its last touch, fixed when it is
-	// pinned or computed; MIN keys it by its next use, fixed once the
-	// computation that touched it has advanced the next-use pointers.
-	byNextUse := s.P == MIN
 
 	var res Result
-	var clock int64
 	cacheCount := 0
-	pinned := make([]evictEntry, 0, 16)
 
 	evictOne := func() error {
-		if len(h.e) == 0 {
+		var victim cdag.V
+		var ok bool
+		if byNextUse {
+			victim, ok = h.pop()
+		} else {
+			victim, ok = list.pop()
+		}
+		if !ok {
 			return fmt.Errorf("pebble: cache overcommitted: M = %d too small for a single computation", s.M)
 		}
-		victim := h.pop()
 		st[victim] &^= inCache
 		cacheCount--
 		res.Evictions++
-		if st[victim]&inSlow == 0 && usePos[next[victim]] != never {
+		if st[victim]&inSlow == 0 && usedAgain(victim) {
 			// Value still needed later but no slow-memory copy: write it
 			// back (one I/O) so it can be reloaded.
 			res.Writes++
@@ -319,10 +389,8 @@ func (s *Simulator) Run(schedule []cdag.V) (Result, error) {
 		}
 		return nil
 	}
+	// load brings an uncached value into cache.
 	load := func(v cdag.V) error {
-		if st[v]&inCache != 0 {
-			return nil
-		}
 		if st[v]&inSlow == 0 {
 			return fmt.Errorf("pebble: schedule uses %s before it is computed", g.Label(v))
 		}
@@ -344,7 +412,7 @@ func (s *Simulator) Run(schedule []cdag.V) (Result, error) {
 	var segStartIO int64
 	computedInSeg := 0
 
-	for pos, v := range schedule {
+	for _, v := range schedule {
 		if isInput(v) {
 			return res, fmt.Errorf("pebble: schedule contains input %s", g.Label(v))
 		}
@@ -352,41 +420,42 @@ func (s *Simulator) Run(schedule []cdag.V) (Result, error) {
 			return res, fmt.Errorf("pebble: schedule recomputes %s", g.Label(v))
 		}
 		parents := g.ParentRow(v)
-		// Pin parents so they cannot evict each other while assembling
-		// this computation.
-		pinned = pinned[:0]
+		// Pin parents, out of the eviction order, so they cannot evict
+		// each other while assembling this computation, and step each
+		// past this use.
 		for _, p := range parents {
 			if st[p]&computed == 0 && !isInput(p) {
 				return res, fmt.Errorf("pebble: schedule computes %s before parent %s", g.Label(v), g.Label(p))
 			}
-			if err := load(p); err != nil {
-				return res, err
+			if st[p]&inCache == 0 {
+				if err := load(p); err != nil {
+					return res, err
+				}
+			} else if byNextUse {
+				h.remove(int(h.pos[p]))
+			} else {
+				list.unlink(p)
 			}
-			if i := h.pos[p]; i >= 0 {
-				h.remove(int(i))
-			}
-			clock++
-			pinned = append(pinned, evictEntry{key: -clock, v: p})
-		}
-		// Advance parents' next-use pointers past this position.
-		for _, p := range parents {
-			for usePos[next[p]] <= int32(pos) {
-				next[p]++
+			if byNextUse {
+				next[p]++ // usePos[next[p]] was this position
+			} else {
+				left[p]--
 			}
 		}
 		// Make room for the result.
 		if err := ensureRoom(); err != nil {
 			return res, err
 		}
-		// Unpin parents: they re-enter the heap with their updated keys.
-		for _, e := range pinned {
+		// Unpin parents: they re-enter the heap with their next uses, or
+		// the list as its newest entries in row order.
+		for _, p := range parents {
 			if byNextUse {
-				e.key = int64(usePos[next[e.v]])
+				h.push(evictEntry{key: usePos[next[p]], v: p})
+			} else {
+				list.push(p)
 			}
-			h.push(e)
 		}
 		st[v] |= computed | inCache
-		clock++
 		cacheCount++
 		res.Computed++
 		output := v >= outLo
@@ -403,18 +472,18 @@ func (s *Simulator) Run(schedule []cdag.V) (Result, error) {
 				computedInSeg = 0
 			}
 		}
-		if usePos[next[v]] == never && !output {
+		if !output && !usedAgain(v) {
 			// Useless vertex (cannot happen in G_r, but keep the cache
 			// tidy if it does): drop immediately.
 			st[v] &^= inCache
 			cacheCount--
 			continue
 		}
-		e := evictEntry{key: -clock, v: v}
 		if byNextUse {
-			e.key = int64(usePos[next[v]])
+			h.push(evictEntry{key: usePos[next[v]], v: v})
+		} else {
+			list.push(v)
 		}
-		h.push(e)
 	}
 	// Completion check: every output computed (and therefore written).
 	for v := outLo; int(v) < n; v++ {

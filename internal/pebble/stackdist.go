@@ -72,40 +72,42 @@ func (mc *MissCurve) Distances() []int {
 // parent, then the creation of the vertex itself (a compulsory miss).
 func AnalyzeStackDistances(g *cdag.Graph, sched []cdag.V) (*MissCurve, error) {
 	n := g.NumVertices()
-	// lastTime[v] = BIT position of v's most recent access, or 0.
+	// lastTime[v] = trace position (1-based) of v's most recent access,
+	// or 0.
 	lastTime := make([]int64, n)
 	// Total accesses: one per parent plus one per scheduled vertex.
 	var total int64
 	for _, v := range sched {
 		total += int64(len(g.ParentRow(v))) + 1
 	}
-	bit := newBIT(int(total) + 2)
+	// Every earlier trace position is either the latest access of its
+	// value or stale: its value was accessed again later. So the
+	// distinct values touched strictly between t and clock number the
+	// positions there minus the stale ones, and the tree need only
+	// mark stale positions: a first access costs no tree walk, and a
+	// reuse one prefix sum and one update.
+	bit := newBIT(int(total))
 	mc := &MissCurve{distHist: make([]int64, 2)}
-
-	// Every value accessed so far has exactly one marked position, its
-	// latest access, so the marked total is the distinct-value count.
 	clock := int64(0)
-	var marked int64
-	access := func(v cdag.V) error {
+	var stale int64
+	access := func(v cdag.V) {
 		clock++
-		if lastTime[v] == 0 {
-			mc.Compulsory++
-			marked++
-		} else {
-			// Distinct values touched since last access of v = number
-			// of marked positions after lastTime[v].
-			d := int(marked - bit.prefix(int(lastTime[v])))
-			d++ // v itself re-enters at the top
-			for d >= len(mc.distHist) {
-				mc.distHist = append(mc.distHist, 0)
-			}
-			mc.distHist[d]++
-			bit.add(int(lastTime[v]), -1)
-		}
-		bit.add(int(clock), 1)
-		lastTime[v] = clock
 		mc.Accesses++
-		return nil
+		t := lastTime[v]
+		lastTime[v] = clock
+		if t == 0 {
+			mc.Compulsory++
+			return
+		}
+		// Stale positions in (t, clock) are stale - prefix(t), since t
+		// itself is not stale yet; v itself re-enters at the top, +1.
+		d := int(clock - t - stale + bit.prefix(int(t)))
+		for d >= len(mc.distHist) {
+			mc.distHist = append(mc.distHist, 0)
+		}
+		mc.distHist[d]++
+		bit.add(int(t), 1)
+		stale++
 	}
 
 	computed := make([]bool, n)
@@ -114,13 +116,9 @@ func AnalyzeStackDistances(g *cdag.Graph, sched []cdag.V) (*MissCurve, error) {
 			return nil, fmt.Errorf("pebble: stack distance trace recomputes %s", g.Label(v))
 		}
 		for _, p := range g.ParentRow(v) {
-			if err := access(p); err != nil {
-				return nil, err
-			}
+			access(p)
 		}
-		if err := access(v); err != nil {
-			return nil, err
-		}
+		access(v)
 		computed[v] = true
 	}
 	return mc, nil

@@ -84,7 +84,9 @@ const (
 	MIN = pebble.MIN
 	// LRU evicts the least recently used value.
 	LRU = pebble.LRU
-	// FIFO evicts the oldest cache resident.
+	// FIFO is meant to evict the oldest cache resident; today it
+	// evicts in LRU order and measures what LRU measures (see
+	// pebble.FIFO).
 	FIFO = pebble.FIFO
 )
 
